@@ -302,7 +302,7 @@ ApuCore::rspGet(unsigned vr, size_t idx)
     stats_.charge(timing().move.pioStorePerElem);
     if (functional()) {
         cisram_assert(idx < vrs.length());
-        return vrs[vr][idx];
+        return vrs.lanes(vr).at(idx);
     }
     return 0;
 }
@@ -314,7 +314,10 @@ ApuCore::rspSet(unsigned vr, size_t idx, uint16_t value)
     stats_.charge(timing().move.pioLoadPerElem);
     if (functional()) {
         cisram_assert(idx < vrs.length());
-        vrs[vr][idx] = value;
+        // A write of the fill beyond the extent changes nothing.
+        Lanes &reg = vrs.lanes(vr);
+        if (idx < reg.extent() || value != reg.fill())
+            reg.live(idx + 1)[idx] = value;
     }
 }
 
@@ -348,7 +351,7 @@ ApuCore::loadVr(unsigned vr, unsigned vmr)
                       static_cast<double>(spec().vrBytes()));
     chargeVectorOp(timing().move.loadVr);
     if (functional())
-        vrs[vr] = l1_.slot(vmr);
+        vrs.lanes(vr).assign(l1_.lanes(vmr));
 }
 
 void
@@ -358,7 +361,7 @@ ApuCore::storeVr(unsigned vmr, unsigned vr)
                       static_cast<double>(spec().vrBytes()));
     chargeVectorOp(timing().move.storeVr);
     if (functional())
-        l1_.slot(vmr) = vrs[vr];
+        l1_.lanes(vmr).assign(vrs.lanes(vr));
 }
 
 ApuDevice::ApuDevice(ApuSpec spec, TimingParams timing)

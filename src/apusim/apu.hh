@@ -53,6 +53,7 @@ class ApuCore
     VrFile &vr() { return vrs; }
     const VrFile &vr() const { return vrs; }
     VmrFile &l1() { return l1_; }
+    const VmrFile &l1() const { return l1_; }
     SramBuffer &l2() { return l2_; }
     SramBuffer &l3() { return l3_; }
     BitProcArray &bitproc() { return bitproc_; }

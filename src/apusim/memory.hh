@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "apusim/apu_spec.hh"
+#include "apusim/lanes.hh"
 #include "common/logging.hh"
 
 namespace cisram::apu {
@@ -260,7 +261,7 @@ class VmrFile
   public:
     VmrFile(unsigned num_vmrs, size_t vr_length)
         : vrLength(vr_length),
-          slots(num_vmrs, std::vector<uint16_t>(vr_length, 0))
+          slots(num_vmrs, Lanes(vr_length))
     {}
 
     unsigned numVmrs() const
@@ -270,15 +271,25 @@ class VmrFile
 
     size_t length() const { return vrLength; }
 
-    std::vector<uint16_t> &
-    slot(unsigned i)
+    /** Slot `i`, fully materialized (writable: all lanes live). */
+    std::vector<uint16_t> &slot(unsigned i) { return lanes(i).full(); }
+
+    const std::vector<uint16_t> &
+    slot(unsigned i) const
+    {
+        return lanes(i).full();
+    }
+
+    /** Slot `i` with its live extent (extent-aware transfers). */
+    Lanes &
+    lanes(unsigned i)
     {
         cisram_assert(i < slots.size(), "VMR index OOB: ", i);
         return slots[i];
     }
 
-    const std::vector<uint16_t> &
-    slot(unsigned i) const
+    const Lanes &
+    lanes(unsigned i) const
     {
         cisram_assert(i < slots.size(), "VMR index OOB: ", i);
         return slots[i];
@@ -286,7 +297,7 @@ class VmrFile
 
   private:
     size_t vrLength;
-    std::vector<std::vector<uint16_t>> slots;
+    std::vector<Lanes> slots;
 };
 
 } // namespace cisram::apu

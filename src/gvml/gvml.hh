@@ -46,6 +46,12 @@ struct Vmr
  * Marks are ordinary VRs holding 0/1 per element; comparison ops
  * produce marks and masked ops consume them, mirroring GVML's marker
  * registers.
+ *
+ * Functionally, the element-wise ops, macImmS16, cpyImm16,
+ * cpyImm16Nmsk, load16/store16 and the max/min searches touch only
+ * their registers' live lanes (apu::Lanes) and compute the uniform
+ * tail once; every other op works on the materialized registers
+ * (DESIGN.md "Functional lane model"). Charges never depend on it.
  */
 class Gvml
 {
@@ -298,6 +304,8 @@ class Gvml
     }
 
     // ---- direct element access (tests / host glue) ---------------
+    // The materialized register; the writable form makes every lane
+    // live.
     std::vector<uint16_t> &
     data(Vr v)
     {

@@ -5,6 +5,7 @@
 
 #include "gvml/gvml.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/fixedpoint.hh"
@@ -43,11 +44,15 @@ Gvml::ewise2(Vr dst, Vr a, Vr b, uint64_t cycles,
     core_.chargeVectorOp(cycles);
     if (!core_.functional())
         return;
-    auto &d = core_.vr()[dst.idx];
-    const auto &x = core_.vr()[a.idx];
-    const auto &y = core_.vr()[b.idx];
-    for (size_t i = 0; i < d.size(); ++i)
-        d[i] = fn(x[i], y[i]);
+    apu::Lanes &x = core_.vr().lanes(a.idx);
+    apu::Lanes &y = core_.vr().lanes(b.idx);
+    size_t e = std::max(x.extent(), y.extent());
+    uint16_t tail = fn(x.fill(), y.fill());
+    const uint16_t *xv = x.live(e);
+    const uint16_t *yv = y.live(e);
+    uint16_t *dv = core_.vr().lanes(dst.idx).reshape(e, tail);
+    for (size_t i = 0; i < e; ++i)
+        dv[i] = fn(xv[i], yv[i]);
 }
 
 void
@@ -56,10 +61,13 @@ Gvml::ewise1(Vr dst, Vr a, uint64_t cycles, uint16_t (*fn)(uint16_t))
     core_.chargeVectorOp(cycles);
     if (!core_.functional())
         return;
-    auto &d = core_.vr()[dst.idx];
-    const auto &x = core_.vr()[a.idx];
-    for (size_t i = 0; i < d.size(); ++i)
-        d[i] = fn(x[i]);
+    apu::Lanes &x = core_.vr().lanes(a.idx);
+    size_t e = x.extent();
+    uint16_t tail = fn(x.fill());
+    const uint16_t *xv = x.live(e);
+    uint16_t *dv = core_.vr().lanes(dst.idx).reshape(e, tail);
+    for (size_t i = 0; i < e; ++i)
+        dv[i] = fn(xv[i]);
 }
 
 void

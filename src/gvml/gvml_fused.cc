@@ -15,6 +15,8 @@
 
 #include "gvml/gvml.hh"
 
+#include <algorithm>
+
 #include "common/gsifloat.hh"
 #include "common/trace.hh"
 
@@ -42,6 +44,7 @@ Gvml::macImmS16(Vr emb, Vr scratch_q, Vr scratch_t, const Vr *accs,
 {
     const auto &t = core_.timing();
     bool fnl = core_.functional();
+    apu::VrFile &vrs = core_.vr();
     for (size_t q = 0; q < n; ++q) {
         cisram_assert(accs[q].idx != emb.idx &&
                           accs[q].idx != scratch_q.idx &&
@@ -60,28 +63,39 @@ Gvml::macImmS16(Vr emb, Vr scratch_q, Vr scratch_t, const Vr *accs,
             core_.chargeVectorOp(t.compute.addS16);
         }
         if (fnl) {
-            const auto &e = core_.vr()[emb.idx];
-            auto &a = core_.vr()[accs[q].idx];
+            apu::Lanes &e = vrs.lanes(emb.idx);
+            apu::Lanes &a = vrs.lanes(accs[q].idx);
             int16_t w = asS16(imms[q]);
-            for (size_t i = 0; i < a.size(); ++i) {
-                uint16_t prod = asU16(
-                    static_cast<int32_t>(asS16(e[i])) * w);
-                a[i] = asU16(static_cast<int32_t>(asS16(a[i])) +
+            auto mac = [w](uint16_t acc, uint16_t x) {
+                uint16_t prod =
+                    asU16(static_cast<int32_t>(asS16(x)) * w);
+                return asU16(static_cast<int32_t>(asS16(acc)) +
                              asS16(prod));
-            }
+            };
+            size_t ext = std::max(e.extent(), a.extent());
+            uint16_t tail = mac(a.fill(), e.fill());
+            const uint16_t *ev = e.live(ext);
+            uint16_t *av = a.live(ext);
+            for (size_t i = 0; i < ext; ++i)
+                av[i] = mac(av[i], ev[i]);
+            a.reshape(ext, tail);
         }
     }
     if (fnl && n > 0) {
         // The last query's broadcast and product planes are what the
         // unfused sequence leaves behind in the scratch registers.
-        auto &qv = core_.vr()[scratch_q.idx];
-        std::fill(qv.begin(), qv.end(), imms[n - 1]);
-        const auto &e = core_.vr()[emb.idx];
-        auto &tv = core_.vr()[scratch_t.idx];
+        vrs.lanes(scratch_q.idx).reshape(0, imms[n - 1]);
+        const apu::Lanes &e = vrs.lanes(emb.idx);
         int16_t w = asS16(imms[n - 1]);
-        for (size_t i = 0; i < tv.size(); ++i)
-            tv[i] =
-                asU16(static_cast<int32_t>(asS16(e[i])) * w);
+        auto mul = [w](uint16_t x) {
+            return asU16(static_cast<int32_t>(asS16(x)) * w);
+        };
+        size_t ext = e.extent();
+        const uint16_t *ev = e.live();
+        uint16_t *tv =
+            vrs.lanes(scratch_t.idx).reshape(ext, mul(e.fill()));
+        for (size_t i = 0; i < ext; ++i)
+            tv[i] = mul(ev[i]);
     }
 }
 

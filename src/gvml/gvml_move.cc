@@ -5,6 +5,8 @@
 
 #include "gvml/gvml.hh"
 
+#include <algorithm>
+
 #include "common/bitutils.hh"
 #include "common/trace.hh"
 
@@ -24,10 +26,8 @@ Gvml::cpyImm16(Vr dst, uint16_t imm)
 {
     trace::OpScope traceOp_("gvml.cpyImm16");
     core_.chargeVectorOp(core_.timing().move.cpyImm);
-    if (core_.functional()) {
-        auto &d = core_.vr()[dst.idx];
-        std::fill(d.begin(), d.end(), imm);
-    }
+    if (core_.functional())
+        core_.vr().lanes(dst.idx).reshape(0, imm);
 }
 
 void
@@ -68,11 +68,16 @@ Gvml::cpyImm16Nmsk(Vr dst, uint16_t imm, Vr mark)
     core_.chargeVectorOp(core_.timing().compute.selectMsk);
     if (!core_.functional())
         return;
-    auto &d = core_.vr()[dst.idx];
-    const auto &m = core_.vr()[mark.idx];
-    for (size_t i = 0; i < d.size(); ++i)
-        if (!m[i])
-            d[i] = imm;
+    apu::Lanes &d = core_.vr().lanes(dst.idx);
+    apu::Lanes &m = core_.vr().lanes(mark.idx);
+    size_t e = std::max(d.extent(), m.extent());
+    uint16_t tail = m.fill() ? d.fill() : imm;
+    const uint16_t *mv = m.live(e);
+    uint16_t *dv = d.live(e);
+    for (size_t i = 0; i < e; ++i)
+        if (!mv[i])
+            dv[i] = imm;
+    d.reshape(e, tail);
 }
 
 uint32_t

@@ -78,6 +78,34 @@ Gvml::countM(Vr mark)
 
 namespace {
 
+/**
+ * First index of the extreme value under `better` (a strict order),
+ * scanning only the live lanes: the uniform tail's first lane is
+ * extent(), so it wins only when strictly better than every live
+ * lane (first-index tie rule).
+ */
+template <typename Better>
+Gvml::MaxResult
+extremeIndex(const apu::Lanes &s, Better better)
+{
+    if (s.length() == 0)
+        cisram_panic("associative search lost all candidates");
+    size_t ext = s.extent();
+    if (ext == 0)
+        return {s.fill(), 0};
+    const uint16_t *v = s.live();
+    Gvml::MaxResult r{v[0], 0};
+    for (size_t i = 1; i < ext; ++i) {
+        if (better(v[i], r.value)) {
+            r.value = v[i];
+            r.index = i;
+        }
+    }
+    if (ext < s.length() && better(s.fill(), r.value))
+        r = {s.fill(), ext};
+    return r;
+}
+
 /** Cycles charged per refinement step of the associative search. */
 uint64_t
 searchStepCycles(const apu::TimingParams &t)
@@ -110,18 +138,8 @@ Gvml::maxIndexU16(Vr src)
     // scan returning the first index of the maximum
     // (tests/test_wordparallel.cc pins this against a brute-force
     // reference).
-    const auto &s = core_.vr()[src.idx];
-    if (s.empty())
-        cisram_panic("associative max search lost all candidates");
-    uint16_t value = s[0];
-    size_t index = 0;
-    for (size_t i = 1; i < s.size(); ++i) {
-        if (s[i] > value) {
-            value = s[i];
-            index = i;
-        }
-    }
-    return {value, index};
+    return extremeIndex(core_.vr().lanes(src.idx),
+                        [](uint16_t x, uint16_t y) { return x > y; });
 }
 
 Gvml::MaxResult
@@ -139,18 +157,8 @@ Gvml::minIndexU16(Vr src)
     // Minimum search: identical refinement on complemented bits, so
     // the same single-pass argument applies (see maxIndexU16) with
     // the comparison reversed.
-    const auto &s = core_.vr()[src.idx];
-    if (s.empty())
-        cisram_panic("associative min search lost all candidates");
-    uint16_t value = s[0];
-    size_t index = 0;
-    for (size_t i = 1; i < s.size(); ++i) {
-        if (s[i] < value) {
-            value = s[i];
-            index = i;
-        }
-    }
-    return {value, index};
+    return extremeIndex(core_.vr().lanes(src.idx),
+                        [](uint16_t x, uint16_t y) { return x < y; });
 }
 
 } // namespace cisram::gvml

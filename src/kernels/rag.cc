@@ -63,6 +63,77 @@ ingestCycles(const apu::TimingParams &t, bool coalesce)
     return init + t.control.dmaDescriptor + t.move.dmaL2L1;
 }
 
+/** Lane encodings of an int16 embedding element. */
+uint16_t
+encodeS16(int16_t v)
+{
+    return static_cast<uint16_t>(v);
+}
+
+uint16_t
+encodeGf16(int16_t v)
+{
+    return GsiFloat16::fromFloat(static_cast<float>(v)).bits();
+}
+
+/** Rows of `n` chunks (n x dim); row j is global chunk chunk_at(j). */
+template <typename ChunkAt>
+std::vector<int16_t>
+genRows(const RagCorpusSpec &corpus, uint64_t seed, size_t n,
+        ChunkAt chunk_at)
+{
+    std::vector<int16_t> rows(n * corpus.dim);
+    for (size_t j = 0; j < n; ++j)
+        baseline::genEmbeddingRow(corpus, chunk_at(j), seed,
+                                  rows.data() + j * corpus.dim);
+    return rows;
+}
+
+/**
+ * The functional stager: write `n` rows (n x dim) as one supertile's
+ * dim planes at `addr`, dimension-major and live lanes only: plane d
+ * is the n u16 at addr + d * n * 2. The caller's block keeps room for
+ * dim full planes, so device-DRAM accounting is that of the padded
+ * layout; streamPlane supplies the zero tail.
+ */
+void
+stageRows(ApuDevice &dev, const int16_t *rows, size_t n, size_t dim,
+          uint64_t addr, uint16_t (*encode)(int16_t) = encodeS16)
+{
+    std::vector<uint16_t> planes(n * dim);
+    for (size_t j = 0; j < n; ++j)
+        for (size_t d = 0; d < dim; ++d)
+            planes[d * n + j] = encode(rows[j * dim + d]);
+    dev.l4().write(addr, planes.data(), planes.size() * 2);
+}
+
+/**
+ * The admit plane of one supertile at `addr`: live lane j < n is 1
+ * iff admit(j). Padding lanes read back as 0, so a ragged tail can
+ * never outrank real (possibly negative) scores with its
+ * biased-zero dot products.
+ */
+template <typename Admit>
+void
+stageAdmit(ApuDevice &dev, size_t n, Admit admit, uint64_t addr)
+{
+    std::vector<uint16_t> plane(n);
+    for (size_t j = 0; j < n; ++j)
+        plane[j] = admit(j) ? 1 : 0;
+    dev.l4().write(addr, plane.data(), n * 2);
+}
+
+/**
+ * Stream one staged plane into VMR `vm`: its `live` lanes from L4,
+ * a zero tail beyond. The caller charges the ingest (ingestCycles).
+ */
+void
+streamPlane(ApuCore &core, Vmr vm, uint64_t addr, size_t live)
+{
+    core.device().l4().read(
+        addr, core.l1().lanes(vm.idx).reshape(live, 0), live * 2);
+}
+
 /** Run a shape-invariant loop: all iterations in Functional mode,
  * one accounted iteration times n otherwise. */
 template <typename Fn>
@@ -78,6 +149,47 @@ timedLoop(ApuCore &core, size_t n, Fn fn)
         ScopedRepeat rep(core.stats(), static_cast<double>(n));
         fn(0);
     }
+}
+
+/** Accumulator VR of batch lane `q` (VRs 8..15). */
+Vr
+accVr(size_t q)
+{
+    return Vr(8 + static_cast<unsigned>(q));
+}
+
+/**
+ * Score one supertile for the batch lanes `qs` of `queries`: zero
+ * their accumulators, stream its dim planes (`valid` live lanes,
+ * staged at `emb_addr` by stageRows) through the fused MAC, then
+ * load its admit plane from `adm_addr` into vrAdmit.
+ */
+void
+scoreSupertile(Gvml &g, const std::vector<std::vector<int16_t>> &queries,
+               const std::vector<size_t> &qs, uint64_t emb_addr,
+               uint64_t adm_addr, size_t valid)
+{
+    ApuCore &core = g.core();
+    const auto &t = core.timing();
+    std::vector<Vr> accs;
+    for (size_t q : qs) {
+        g.cpyImm16(accVr(q), 0);
+        accs.push_back(accVr(q));
+    }
+    timedLoop(core, queries[0].size(), [&](size_t d) {
+        core.chargeRaw(ingestCycles(t, true));
+        if (core.functional())
+            streamPlane(core, vmStage, emb_addr + d * valid * 2, valid);
+        g.load16(vrEmb, vmStage);
+        uint16_t imms[8];
+        for (size_t i = 0; i < qs.size(); ++i)
+            imms[i] = static_cast<uint16_t>(queries[qs[i]][d]);
+        g.macImmS16(vrEmb, vrQ, vrT, accs.data(), imms, qs.size());
+    });
+    core.chargeRaw(ingestCycles(t, true));
+    if (core.functional())
+        streamPlane(core, vmAdmit, adm_addr, valid);
+    g.load16(vrAdmit, vmAdmit);
 }
 
 /** Stage timing helper: capture cycle deltas. */
@@ -199,7 +311,35 @@ RagRetriever::RagRetriever(ApuDevice &dev, dram::DramSystem &hbm,
 
 RagRetriever::~RagRetriever()
 {
+    if (staged_)
+        dev.allocator().free(stagedAddr_);
     dev.allocator().free(idsAddr_);
+}
+
+uint64_t
+RagRetriever::stagedPlanes(uint64_t corpus_seed)
+{
+    if (staged_ && stagedSeed_ == corpus_seed)
+        return stagedAddr_;
+    size_t l = dev.spec().vrLength;
+    size_t dim = corpus_.dim;
+    size_t chunks = corpus_.numChunks;
+    size_t supertiles = divCeil(chunks, l);
+    if (!staged_)
+        stagedAddr_ =
+            dev.allocator().alloc(supertiles * dim * l * 2, 512);
+    staged_ = true;
+    stagedSeed_ = corpus_seed;
+    for (size_t st = 0; st < supertiles; ++st) {
+        size_t valid = std::min(l, chunks - st * l);
+        auto rows = genRows(corpus_, corpus_seed, valid,
+                            [&](size_t j) {
+                                return corpus_.globalChunk(st * l + j);
+                            });
+        stageRows(dev, rows.data(), valid, dim,
+                  stagedAddr_ + st * dim * l * 2);
+    }
+    return stagedAddr_;
 }
 
 void
@@ -265,26 +405,17 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
     // Dimension-major gf16 planes.
     uint64_t emb_addr = 0;
     if (fnl) {
-        cisram_assert(chunks <= (size_t(1) << 21),
-                      "functional corpus too large");
         emb_addr =
             dev.allocator().alloc(supertiles * dim * l * 2, 512);
-        std::vector<uint16_t> plane(l);
         for (size_t st = 0; st < supertiles; ++st) {
-            for (size_t d = 0; d < dim; ++d) {
-                std::fill(plane.begin(), plane.end(), 0);
-                size_t valid = std::min(l, chunks - st * l);
-                for (size_t j = 0; j < valid; ++j) {
-                    int16_t v = baseline::embeddingValueFor(
-                        corpus_, corpus_.firstChunk + st * l + j, d,
-                        corpus_seed);
-                    plane[j] = GsiFloat16::fromFloat(
-                                   static_cast<float>(v))
-                                   .bits();
-                }
-                dev.l4().write(emb_addr + (st * dim + d) * l * 2,
-                               plane.data(), l * 2);
-            }
+            size_t valid = std::min(l, chunks - st * l);
+            auto rows = genRows(corpus_, corpus_seed, valid,
+                                [&](size_t j) {
+                                    return corpus_.globalChunk(st * l +
+                                                               j);
+                                });
+            stageRows(dev, rows.data(), valid, dim,
+                      emb_addr + st * dim * l * 2, encodeGf16);
         }
     }
 
@@ -302,14 +433,14 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
             fnl ? 1.0 : static_cast<double>(supertiles);
         ScopedRepeat strep(core.stats(), st_factor);
 
+        size_t valid = fnl ? std::min(l, chunks - st * l) : l;
         g.cpyImm16(vrAcc, 0); // gf16 +0.0
         timedLoop(core, dim, [&](size_t d) {
             core.chargeRaw(ingestCycles(t, true));
-            if (fnl) {
-                auto &slot = core.l1().slot(vmStage.idx);
-                dev.l4().read(emb_addr + (st * dim + d) * l * 2,
-                              slot.data(), l * 2);
-            }
+            if (fnl)
+                streamPlane(core, vmStage,
+                            emb_addr + st * dim * l * 2 + d * valid * 2,
+                            valid);
             g.load16(vrEmb, vmStage);
             g.macImmGf16(vrEmb, vrQ, vrT, vrAcc,
                          GsiFloat16::fromFloat(
@@ -319,14 +450,13 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
         g.orderGf16(vrOrd, vrAcc, vrS1, vrS2);
 
         double before = core.stats().cycles();
-        size_t valid = fnl ? std::min(l, chunks - st * l) : l;
         // Extract against the ordered keys; recover the gf16 score
         // from the accumulator at the winning index.
         for (size_t k = 0; k < topK; ++k) {
             auto mx = g.maxIndexU16(vrOrd);
             core.rspSet(vrOrd.idx, fnl ? mx.index : 0, 0);
             if (fnl && mx.index < valid) {
-                uint16_t bits = core.vr()[vrAcc.idx][mx.index];
+                uint16_t bits = core.vr().lanes(vrAcc.idx).at(mx.index);
                 candidates.push_back(
                     {GsiFloat16::fromBits(bits).toFloat(),
                      st * l + mx.index});
@@ -384,11 +514,6 @@ RagRetriever::retrieveBatch(
                       "epoch view / spec chunk count mismatch");
     }
 
-    // Accumulators live in VRs 8..15; working registers below.
-    auto acc = [](size_t q2) {
-        return Vr(8 + static_cast<unsigned>(q2));
-    };
-
     std::vector<RagRunResult> results(batch);
     // The predicate bitmask plane (one u16 mark per chunk) streams
     // alongside the corpus when a filter is armed: 1/dim of the
@@ -404,46 +529,29 @@ RagRetriever::retrieveBatch(
     double load_emb = mem.streamReadSeconds(
         0, static_cast<uint64_t>(shared_dram));
 
+    // The embedding planes stay staged for the retriever's lifetime;
+    // the admit marks depend on the batch's filter, so they are
+    // rebuilt per batch: lane validity AND the metadata predicate
+    // AND epoch liveness (tombstoned chunks keep their staged
+    // position but never match).
     uint64_t emb_addr = 0, adm_addr = 0;
     if (fnl) {
-        cisram_assert(chunks <= (size_t(1) << 21),
-                      "functional corpus too large");
-        emb_addr =
-            dev.allocator().alloc(supertiles * dim * l * 2, 512);
+        emb_addr = stagedPlanes(corpus_seed);
         adm_addr = dev.allocator().alloc(supertiles * l * 2, 512);
-        std::vector<uint16_t> plane(l);
         for (size_t st = 0; st < supertiles; ++st) {
-            size_t valid = std::min(l, chunks - st * l);
-            for (size_t d = 0; d < dim; ++d) {
-                std::fill(plane.begin(), plane.end(), 0);
-                for (size_t j = 0; j < valid; ++j)
-                    plane[j] = static_cast<uint16_t>(
-                        baseline::embeddingValueFor(
-                            corpus_, corpus_.globalChunk(st * l + j),
-                            d, corpus_seed));
-                dev.l4().write(emb_addr + (st * dim + d) * l * 2,
-                               plane.data(), l * 2);
-            }
-            // Admit marks: lane validity AND the metadata predicate
-            // AND epoch liveness (tombstoned chunks keep their staged
-            // position but never match). Padding lanes are knocked
-            // out here so a ragged tail can never outrank real
-            // (possibly negative) scores with its biased-zero dot
-            // products.
-            std::fill(plane.begin(), plane.end(), 0);
-            for (size_t j = 0; j < valid; ++j) {
-                uint64_t chunk = corpus_.globalChunk(st * l + j);
-                plane[j] =
-                    (corpus_.chunkLive(st * l + j) &&
-                     (!filtered ||
-                      baseline::passesFilter(
-                          filter,
-                          baseline::chunkLabel(chunk, corpus_seed))))
-                    ? 1
-                    : 0;
-            }
-            dev.l4().write(adm_addr + st * l * 2, plane.data(),
-                           l * 2);
+            size_t base = st * l;
+            stageAdmit(
+                dev, std::min(l, chunks - base),
+                [&](size_t j) {
+                    return corpus_.chunkLive(base + j) &&
+                        (!filtered ||
+                         baseline::passesFilter(
+                             filter,
+                             baseline::chunkLabel(
+                                 corpus_.globalChunk(base + j),
+                                 corpus_seed)));
+                },
+                adm_addr + base * 2);
         }
     }
 
@@ -460,53 +568,29 @@ RagRetriever::retrieveBatch(
     g.cpyImm16(vrBias, 0x8000);
 
     std::vector<std::vector<Hit>> candidates(batch);
+    std::vector<size_t> all(batch);
+    for (size_t q2 = 0; q2 < batch; ++q2)
+        all[q2] = q2;
     double topk_cycles = 0.0;
     for (size_t st = 0; st < (fnl ? supertiles : size_t(1)); ++st) {
         double st_factor =
             fnl ? 1.0 : static_cast<double>(supertiles);
         ScopedRepeat strep(core.stats(), st_factor);
 
-        for (size_t q2 = 0; q2 < batch; ++q2)
-            g.cpyImm16(acc(q2), 0);
-        std::vector<Vr> accs;
-        accs.reserve(batch);
-        for (size_t q2 = 0; q2 < batch; ++q2)
-            accs.push_back(acc(q2));
-        timedLoop(core, dim, [&](size_t d) {
-            core.chargeRaw(ingestCycles(t, true));
-            if (fnl) {
-                auto &slot = core.l1().slot(vmStage.idx);
-                dev.l4().read(emb_addr + (st * dim + d) * l * 2,
-                              slot.data(), l * 2);
-            }
-            g.load16(vrEmb, vmStage);
-            uint16_t imms[8];
-            for (size_t q2 = 0; q2 < batch; ++q2)
-                imms[q2] =
-                    static_cast<uint16_t>(queries[q2][d]);
-            g.macImmS16(vrEmb, vrQ, vrT, accs.data(), imms,
-                        batch);
-        });
+        size_t valid = fnl ? std::min(l, chunks - st * l) : l;
+        scoreSupertile(g, queries, all, emb_addr + st * dim * l * 2,
+                       adm_addr + st * l * 2, valid);
 
         // AND the admit plane (validity + metadata predicate) into
         // the match mask: one negated-mask select per score VR
         // writes the masked-out sentinel (biased 0x0000, a dot of
         // -32768 no int16 embedding can produce) into excluded
         // lanes, which extractTopK already skips.
-        core.chargeRaw(ingestCycles(t, true));
-        if (fnl) {
-            auto &slot = core.l1().slot(vmAdmit.idx);
-            dev.l4().read(adm_addr + st * l * 2, slot.data(),
-                          l * 2);
-        }
-        g.load16(vrAdmit, vmAdmit);
-
         double before = core.stats().cycles();
-        size_t valid = fnl ? std::min(l, chunks - st * l) : l;
         for (size_t q2 = 0; q2 < batch; ++q2) {
-            g.xor16(acc(q2), acc(q2), vrBias);
-            g.cpyImm16Nmsk(acc(q2), 0x0000, vrAdmit);
-            auto part = extractTopK(g, core, acc(q2), topK, valid);
+            g.xor16(accVr(q2), accVr(q2), vrBias);
+            g.cpyImm16Nmsk(accVr(q2), 0x0000, vrAdmit);
+            auto part = extractTopK(g, core, accVr(q2), topK, valid);
             for (auto &h : part)
                 h.id += st * l;
             candidates[q2].insert(candidates[q2].end(),
@@ -548,10 +632,8 @@ RagRetriever::retrieveBatch(
             r.hits = mergeHits(std::move(candidates[q2]), topK);
         publishTopkIds(r, q2);
     }
-    if (fnl) {
-        dev.allocator().free(emb_addr);
+    if (fnl)
         dev.allocator().free(adm_addr);
-    }
     // One corpus pass serves the whole batch, so an uncorrectable
     // ECC error taints every result in it.
     Status ecc = hbm.takeFaultStatus();
@@ -586,10 +668,6 @@ RagRetriever::retrieveIvfBatch(
     cisram_assert(cl.numChunks() == corpus_.numChunks,
                   "clustering built for a different corpus");
     cisram_assert(K <= l, "centroid table exceeds one VR");
-
-    auto acc = [](size_t q2) {
-        return Vr(8 + static_cast<unsigned>(q2));
-    };
 
     // CP-side probe selection mirror of the golden index. The
     // device's coarse pass below runs the same selection on the VXU;
@@ -640,64 +718,37 @@ RagRetriever::retrieveIvfBatch(
     uint64_t cent_addr = 0, cval_addr = 0, emb_addr = 0,
              adm_addr = 0;
     if (fnl) {
-        cisram_assert(corpus_.numChunks <= (size_t(1) << 21),
-                      "functional corpus too large");
         cent_addr = dev.allocator().alloc(dim * l * 2, 512);
         cval_addr = dev.allocator().alloc(l * 2, 512);
-        std::vector<uint16_t> plane(l);
-        const auto &cents = cl.centroids();
-        for (size_t d = 0; d < dim; ++d) {
-            std::fill(plane.begin(), plane.end(), 0);
-            for (size_t j = 0; j < K; ++j)
-                plane[j] = static_cast<uint16_t>(cents[j * dim + d]);
-            dev.l4().write(cent_addr + d * l * 2, plane.data(),
-                           l * 2);
-        }
-        std::fill(plane.begin(), plane.end(), 0);
-        for (size_t j = 0; j < K; ++j)
-            plane[j] = 1;
-        dev.l4().write(cval_addr, plane.data(), l * 2);
+        stageRows(dev, cl.centroids().data(), K, dim, cent_addr);
+        stageAdmit(dev, K, [](size_t) { return true; }, cval_addr);
 
         size_t st_alloc = std::max<size_t>(1, total_supertiles);
         emb_addr =
             dev.allocator().alloc(st_alloc * dim * l * 2, 512);
         adm_addr = dev.allocator().alloc(st_alloc * l * 2, 512);
         size_t gst = 0;
-        std::vector<int16_t> rows;
         for (uint32_t list : lists) {
             size_t lsz = cl.listSize(list);
             for (size_t st = 0; st < divCeil(lsz, l); ++st, ++gst) {
                 size_t valid = std::min(l, lsz - st * l);
-                rows.resize(valid * dim);
-                for (size_t j = 0; j < valid; ++j)
-                    baseline::genEmbeddingRow(
-                        corpus_,
-                        corpus_.firstChunk +
-                            order[offsets[list] + st * l + j],
-                        corpus_seed, rows.data() + j * dim);
-                for (size_t d = 0; d < dim; ++d) {
-                    std::fill(plane.begin(), plane.end(), 0);
-                    for (size_t j = 0; j < valid; ++j)
-                        plane[j] = static_cast<uint16_t>(
-                            rows[j * dim + d]);
-                    dev.l4().write(
-                        emb_addr + (gst * dim + d) * l * 2,
-                        plane.data(), l * 2);
-                }
-                std::fill(plane.begin(), plane.end(), 0);
-                for (size_t j = 0; j < valid; ++j) {
-                    uint64_t chunk = corpus_.firstChunk +
+                auto chunk_at = [&](size_t j) -> uint64_t {
+                    return corpus_.firstChunk +
                         order[offsets[list] + st * l + j];
-                    plane[j] =
-                        (!filtered ||
-                         baseline::passesFilter(
-                             filter, baseline::chunkLabel(
-                                         chunk, corpus_seed)))
-                        ? 1
-                        : 0;
-                }
-                dev.l4().write(adm_addr + gst * l * 2,
-                               plane.data(), l * 2);
+                };
+                auto rows =
+                    genRows(corpus_, corpus_seed, valid, chunk_at);
+                stageRows(dev, rows.data(), valid, dim,
+                          emb_addr + gst * dim * l * 2);
+                stageAdmit(
+                    dev, valid,
+                    [&](size_t j) {
+                        return !filtered ||
+                            baseline::passesFilter(
+                                filter, baseline::chunkLabel(
+                                            chunk_at(j), corpus_seed));
+                    },
+                    adm_addr + gst * l * 2);
             }
         }
     }
@@ -710,11 +761,10 @@ RagRetriever::retrieveIvfBatch(
 
     g.cpyImm16(vrBias, 0x8000);
 
-    std::vector<Vr> accsAll;
-    accsAll.reserve(batch);
-    for (size_t q2 = 0; q2 < batch; ++q2)
-        accsAll.push_back(acc(q2));
     std::vector<std::vector<Hit>> candidates(batch);
+    std::vector<size_t> all(batch);
+    for (size_t q2 = 0; q2 < batch; ++q2)
+        all[q2] = q2;
     double topk_cycles = 0.0;
 
     // ---- coarse centroid pass --------------------------------------
@@ -722,36 +772,16 @@ RagRetriever::retrieveIvfBatch(
     // through L3/L4 and streams as dim K-wide planes: one mini
     // supertile scoring lists instead of chunks, reusing the exact
     // MAC/bias/extract machinery of the main loop.
-    for (size_t q2 = 0; q2 < batch; ++q2)
-        g.cpyImm16(acc(q2), 0);
-    timedLoop(core, dim, [&](size_t d) {
-        core.chargeRaw(ingestCycles(t, true));
-        if (fnl) {
-            auto &slot = core.l1().slot(vmStage.idx);
-            dev.l4().read(cent_addr + d * l * 2, slot.data(),
-                          l * 2);
-        }
-        g.load16(vrEmb, vmStage);
-        uint16_t imms[8];
-        for (size_t q2 = 0; q2 < batch; ++q2)
-            imms[q2] = static_cast<uint16_t>(queries[q2][d]);
-        g.macImmS16(vrEmb, vrQ, vrT, accsAll.data(), imms, batch);
-    });
-    core.chargeRaw(ingestCycles(t, true));
-    if (fnl) {
-        auto &slot = core.l1().slot(vmAdmit.idx);
-        dev.l4().read(cval_addr, slot.data(), l * 2);
-    }
-    g.load16(vrAdmit, vmAdmit);
+    scoreSupertile(g, queries, all, cent_addr, cval_addr, K);
     {
         double before = core.stats().cycles();
         for (size_t q2 = 0; q2 < batch; ++q2) {
-            g.xor16(acc(q2), acc(q2), vrBias);
-            g.cpyImm16Nmsk(acc(q2), 0x0000, vrAdmit);
+            g.xor16(accVr(q2), accVr(q2), vrBias);
+            g.cpyImm16Nmsk(accVr(q2), 0x0000, vrAdmit);
             std::vector<uint32_t> dev_probes;
             for (size_t p = 0; p < nprobe; ++p) {
-                auto mx = g.maxIndexU16(acc(q2));
-                core.rspSet(acc(q2).idx, fnl ? mx.index : 0, 0);
+                auto mx = g.maxIndexU16(accVr(q2));
+                core.rspSet(accVr(q2).idx, fnl ? mx.index : 0, 0);
                 if (fnl && mx.index < K && mx.value != 0)
                     dev_probes.push_back(
                         static_cast<uint32_t>(mx.index));
@@ -771,44 +801,18 @@ RagRetriever::retrieveIvfBatch(
     for (uint32_t list : lists) {
         const auto &qset = byList[list];
         size_t lsz = cl.listSize(list);
-        std::vector<Vr> accs;
-        accs.reserve(qset.size());
-        for (size_t q2 : qset)
-            accs.push_back(acc(q2));
         for (size_t st = 0; st < divCeil(lsz, l); ++st, ++gst) {
-            for (size_t q2 : qset)
-                g.cpyImm16(acc(q2), 0);
-            timedLoop(core, dim, [&](size_t d) {
-                core.chargeRaw(ingestCycles(t, true));
-                if (fnl) {
-                    auto &slot = core.l1().slot(vmStage.idx);
-                    dev.l4().read(
-                        emb_addr + (gst * dim + d) * l * 2,
-                        slot.data(), l * 2);
-                }
-                g.load16(vrEmb, vmStage);
-                uint16_t imms[8];
-                for (size_t i = 0; i < qset.size(); ++i)
-                    imms[i] = static_cast<uint16_t>(
-                        queries[qset[i]][d]);
-                g.macImmS16(vrEmb, vrQ, vrT, accs.data(), imms,
-                            qset.size());
-            });
-            core.chargeRaw(ingestCycles(t, true));
-            if (fnl) {
-                auto &slot = core.l1().slot(vmAdmit.idx);
-                dev.l4().read(adm_addr + gst * l * 2, slot.data(),
-                              l * 2);
-            }
-            g.load16(vrAdmit, vmAdmit);
+            size_t valid = fnl ? std::min(l, lsz - st * l) : l;
+            scoreSupertile(g, queries, qset,
+                           emb_addr + gst * dim * l * 2,
+                           adm_addr + gst * l * 2, valid);
 
             double before = core.stats().cycles();
-            size_t valid = fnl ? std::min(l, lsz - st * l) : l;
             for (size_t q2 : qset) {
-                g.xor16(acc(q2), acc(q2), vrBias);
-                g.cpyImm16Nmsk(acc(q2), 0x0000, vrAdmit);
+                g.xor16(accVr(q2), accVr(q2), vrBias);
+                g.cpyImm16Nmsk(accVr(q2), 0x0000, vrAdmit);
                 auto part =
-                    extractTopK(g, core, acc(q2), topK, valid);
+                    extractTopK(g, core, accVr(q2), topK, valid);
                 for (auto &h : part)
                     h.id = order[offsets[list] + st * l + h.id];
                 candidates[q2].insert(candidates[q2].end(),
@@ -886,23 +890,19 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
     uint64_t emb_addr = 0, q_addr = 0;
     bool fnl = core.functional();
     if (fnl) {
-        cisram_assert(chunks <= (size_t(1) << 21),
-                      "functional corpus too large");
         emb_addr = dev.allocator().alloc(
             divCeil(chunks, cpt) * l * 2, 512);
         std::vector<uint16_t> tile(l);
         for (size_t tl = 0; tl < divCeil(chunks, cpt); ++tl) {
             std::fill(tile.begin(), tile.end(), 0);
-            for (size_t c = 0; c < cpt; ++c) {
-                size_t chunk = tl * cpt + c;
-                if (chunk >= chunks)
-                    break;
+            size_t n = std::min(cpt, chunks - tl * cpt);
+            auto rows = genRows(corpus_, corpus_seed, n, [&](size_t c) {
+                return corpus_.globalChunk(tl * cpt + c);
+            });
+            for (size_t c = 0; c < n; ++c)
                 for (size_t d = 0; d < corpus_.dim; ++d)
-                    tile[c * pad + d] = static_cast<uint16_t>(
-                        baseline::embeddingValueFor(
-                            corpus_, corpus_.firstChunk + chunk, d,
-                            corpus_seed));
-            }
+                    tile[c * pad + d] =
+                        encodeS16(rows[c * corpus_.dim + d]);
             dev.l4().write(emb_addr + tl * l * 2, tile.data(),
                            l * 2);
         }
@@ -1044,28 +1044,11 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
     res.stages.loadEmbedding = hbm.streamReadSeconds(
         0, static_cast<uint64_t>(res.dramBytes));
 
-    // Functional staging: dimension-major planes per super-tile.
+    // Functional staging: the resident dimension-major planes.
     uint64_t emb_addr = 0, q_addr = 0;
     bool fnl = core.functional();
     if (fnl) {
-        cisram_assert(chunks <= (size_t(1) << 21),
-                      "functional corpus too large");
-        emb_addr =
-            dev.allocator().alloc(supertiles * dim * l * 2, 512);
-        std::vector<uint16_t> plane(l);
-        for (size_t st = 0; st < supertiles; ++st) {
-            for (size_t d = 0; d < dim; ++d) {
-                std::fill(plane.begin(), plane.end(), 0);
-                size_t valid = std::min(l, chunks - st * l);
-                for (size_t j = 0; j < valid; ++j)
-                    plane[j] = static_cast<uint16_t>(
-                        baseline::embeddingValueFor(
-                            corpus_, corpus_.firstChunk + st * l + j,
-                            d, corpus_seed));
-                dev.l4().write(emb_addr + (st * dim + d) * l * 2,
-                               plane.data(), l * 2);
-            }
-        }
+        emb_addr = stagedPlanes(corpus_seed);
         q_addr = dev.allocator().alloc(l * 2, 512);
         std::vector<uint16_t> qv(l, 0);
         for (size_t d = 0; d < dim; ++d)
@@ -1097,14 +1080,14 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
             fnl ? 1.0 : static_cast<double>(supertiles);
         ScopedRepeat strep(core.stats(), st_factor);
 
+        size_t valid = fnl ? std::min(l, chunks - st * l) : l;
         g.cpyImm16(vrAcc, 0);
         timedLoop(core, dim, [&](size_t d) {
             core.chargeRaw(ingestCycles(t, coalesce));
-            if (fnl) {
-                auto &slot = core.l1().slot(vmStage.idx);
-                dev.l4().read(emb_addr + (st * dim + d) * l * 2,
-                              slot.data(), l * 2);
-            }
+            if (fnl)
+                streamPlane(core, vmStage,
+                            emb_addr + st * dim * l * 2 + d * valid * 2,
+                            valid);
             g.load16(vrEmb, vmStage);
             if (bf_query) {
                 uint16_t imm = static_cast<uint16_t>(query[d]);
@@ -1120,7 +1103,6 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
         // Inline per-super-tile top-k (scores stay resident);
         // cycles re-attributed to the aggregation stage below.
         double before = core.stats().cycles();
-        size_t valid = fnl ? std::min(l, chunks - st * l) : l;
         auto part = extractTopK(g, core, vrAcc, topK, valid);
         for (auto &h : part)
             h.id += st * l;
@@ -1140,7 +1122,6 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
 
     if (fnl) {
         res.hits = mergeHits(std::move(candidates), topK);
-        dev.allocator().free(emb_addr);
         dev.allocator().free(q_addr);
     }
     publishTopkIds(res, 0);

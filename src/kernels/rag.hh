@@ -256,12 +256,24 @@ class RagRetriever
     /** Stage res.hits' ids into the device id buffer (slot 0..7). */
     void publishTopkIds(RagRunResult &res, size_t slot);
 
+    /**
+     * Address of the corpus's dimension-major embedding planes in L4
+     * (functional mode), staged on first use and kept until this
+     * retriever is destroyed — for a DeviceServer, one corpus epoch
+     * or one core reset. A different `corpus_seed` re-stages them in
+     * place.
+     */
+    uint64_t stagedPlanes(uint64_t corpus_seed);
+
     apu::ApuDevice &dev;
     dram::DramSystem &hbm;
     baseline::RagCorpusSpec corpus_;
     size_t topK;
     unsigned coreIdx_;
     uint64_t idsAddr_; ///< 8 batch slots of topK u32 ids each
+    bool staged_ = false;
+    uint64_t stagedAddr_ = 0;
+    uint64_t stagedSeed_ = 0;
 };
 
 } // namespace cisram::kernels

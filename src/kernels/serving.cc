@@ -157,6 +157,27 @@ BatchFormer::takeBatch()
 // ---------------------------------------------------------------------
 // DeviceServer
 
+Status
+validateFunctionalShard(const apu::ApuSpec &spec,
+                        const RagCorpusSpec &shard)
+{
+    constexpr size_t kMaxChunks = size_t(1) << 21;
+    if (shard.numChunks > kMaxChunks)
+        return Status::invalidArgument(detail::concat(
+            "functional shard of ", shard.numChunks,
+            " chunks exceeds the ", kMaxChunks,
+            "-chunk functional corpus limit"));
+    uint64_t staged = divCeil(shard.numChunks, spec.vrLength) *
+        shard.dim * spec.vrBytes();
+    uint64_t share = spec.l4Bytes / spec.numCores;
+    if (staged > share)
+        return Status::invalidArgument(detail::concat(
+            "functional shard of ", shard.numChunks, " x ", shard.dim,
+            " keeps ", staged, " bytes of planes staged, over its "
+            "core's L4 share of ", share, " bytes"));
+    return Status::okStatus();
+}
+
 DeviceServer::DeviceServer(apu::ApuDevice &dev, RagCorpusSpec spec,
                            unsigned core, const IndexFlatI16 *golden,
                            uint64_t corpus_seed, ServerConfig cfg)
@@ -173,6 +194,10 @@ DeviceServer::DeviceServer(apu::ApuDevice &dev, RagCorpusSpec spec,
       health_(core, cfg.health, cfg.deviceIndex),
       flight_(core, cfg.flight)
 {
+    if (dev.core(core).functional()) {
+        Status st = validateFunctionalShard(dev.spec(), spec_);
+        cisram_assert(st.ok(), "DeviceServer: ", st.message());
+    }
     host_.setCoreHint(static_cast<int>(core));
     host_.setDeviceHint(cfg.deviceIndex);
     hbm_.setScrubConfig(cfg.scrub);

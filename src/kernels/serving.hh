@@ -423,6 +423,19 @@ struct ServerConfig
 };
 
 /**
+ * Config-time check that `shard` can be served functionally on one
+ * core of a device built from `spec`: InvalidArgument when it holds
+ * more than the 2^21-chunk functional corpus limit, or when the
+ * embedding planes a functional retriever keeps staged for it
+ * (supertiles x dim vectors, resident in L4 for the retriever's
+ * lifetime) exceed the core's share of L4 (l4Bytes / numCores).
+ * DeviceServer applies it to every functional shard it builds, so
+ * fleet and server construction refuse such a shard.
+ */
+Status validateFunctionalShard(const apu::ApuSpec &spec,
+                               const baseline::RagCorpusSpec &shard);
+
+/**
  * One core's serving shard: admission queue, batch former, retriever,
  * and the retry/breaker/fallback machinery, all core-private (the
  * HBM model is stateful and a GDL session is single-threaded, so

@@ -31,6 +31,15 @@ struct EwiseCase
     std::function<uint16_t(uint16_t, uint16_t)> ref;
 };
 
+// Without this gtest prints the raw object bytes, which hold the
+// address of `name` and so change with every process under ASLR;
+// ctest bakes that text into the test name at discovery time.
+void
+PrintTo(const EwiseCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 int16_t
 s16(uint16_t v)
 {

@@ -305,9 +305,6 @@ TEST(EpochGolden, TombstonesNeverSurfaceAndInsertsAreLive)
 
 TEST(ServerMutation, DeviceAnswersBitCompareAgainstEachEpoch)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     baseline::RagCorpusSpec base = tinyCorpus();
     const uint64_t seed = 4242;
     baseline::IndexFlatI16 golden(base.dim);
@@ -363,13 +360,110 @@ TEST(ServerMutation, DeviceAnswersBitCompareAgainstEachEpoch)
     }
 }
 
+TEST(ServerMutation, ResidentStagingMatchesPerBatchRebuild)
+{
+    // `resident` keeps its shard staged across batches (one staging
+    // per epoch or reset); `rebuilt` tears its retriever down before
+    // every batch (a reset with nothing outstanding), so it stages
+    // the shard afresh each time. Through two mutations, a core
+    // reset and a device kill (quarantine, then drain's escalated
+    // reset and replay) both give the same hits and CycleStats.
+    baseline::RagCorpusSpec base = tinyCorpus();
+    const uint64_t seed = 4242;
+    baseline::IndexFlatI16 golden(base.dim);
+    auto emb =
+        baseline::genEmbeddings(base, 0, base.numChunks, seed);
+    golden.add(emb.data(), base.numChunks);
+
+    MutationConfig mc;
+    mc.batches = 2;
+    mc.insertsPerBatch = 64;
+    mc.deletesPerBatch = 32;
+    mc.seed = 31;
+    MutationPlan plan(base, 1, mc);
+
+    kernels::ServerConfig cfg;
+    cfg.topK = 5;
+    cfg.health.enabled = true;
+    apu::ApuDevice dev_r, dev_f;
+    kernels::DeviceServer resident(dev_r, base, 0, &golden, seed, cfg);
+    kernels::DeviceServer rebuilt(dev_f, base, 0, &golden, seed, cfg);
+    const size_t footprint = dev_r.allocator().liveCount();
+
+    uint64_t next_id = 1;
+    auto round = [&](uint16_t filter, bool kill) {
+        kernels::RagSearchParams search;
+        search.filterMask = filter;
+        std::vector<std::vector<int16_t>> qs;
+        for (uint64_t q = 0; q < 4; ++q)
+            qs.push_back(baseline::genQuery(base.dim, 900 + next_id + q));
+        for (uint64_t q = 0; q < qs.size(); ++q)
+            ASSERT_TRUE(resident.enqueue(next_id + q, qs[q], search).ok());
+        if (kill)
+            resident.forceQuarantine();
+        rebuilt.forceReset();
+        for (uint64_t q = 0; q < qs.size(); ++q)
+            ASSERT_TRUE(rebuilt.enqueue(next_id + q, qs[q], search).ok());
+        auto a = resident.drain();
+        auto b = rebuilt.drain();
+        ASSERT_EQ(a.size(), qs.size());
+        ASSERT_EQ(b.size(), qs.size());
+        auto by_id = [](const kernels::ServeOutcome &x,
+                        const kernels::ServeOutcome &y) {
+            return x.id < y.id;
+        };
+        std::sort(a.begin(), a.end(), by_id);
+        std::sort(b.begin(), b.end(), by_id);
+        for (size_t i = 0; i < a.size(); ++i) {
+            std::string at = "query " + std::to_string(a[i].id);
+            EXPECT_TRUE(a[i].ok && a[i].fromDevice) << at;
+            EXPECT_EQ(a[i].id, b[i].id) << at;
+            EXPECT_EQ(a[i].ids, b[i].ids) << at;
+            ASSERT_EQ(a[i].run.hits.size(), b[i].run.hits.size()) << at;
+            for (size_t h = 0; h < a[i].run.hits.size(); ++h) {
+                EXPECT_EQ(a[i].run.hits[h].id, b[i].run.hits[h].id) << at;
+                EXPECT_EQ(a[i].run.hits[h].score, b[i].run.hits[h].score)
+                    << at;
+            }
+            const auto &x = a[i].run.stages;
+            const auto &y = b[i].run.stages;
+            EXPECT_EQ(x.loadEmbedding, y.loadEmbedding) << at;
+            EXPECT_EQ(x.loadQuery, y.loadQuery) << at;
+            EXPECT_EQ(x.calcDistance, y.calcDistance) << at;
+            EXPECT_EQ(x.topkAggregation, y.topkAggregation) << at;
+            EXPECT_EQ(x.returnTopk, y.returnTopk) << at;
+            EXPECT_EQ(x.overlapHidden, y.overlapHidden) << at;
+        }
+        // The staged shard is the one block held beyond the
+        // server's construction footprint.
+        EXPECT_EQ(dev_r.allocator().liveCount(), footprint + 1);
+        next_id += 100;
+    };
+    auto mutate = [&](uint64_t e) {
+        auto updates = plan.shardUpdates(e);
+        ASSERT_EQ(updates.size(), 1u);
+        for (kernels::DeviceServer *s : {&resident, &rebuilt})
+            EXPECT_TRUE(s->applyMutation(plan.specAt(e), e,
+                                         updates[0].deltaBytes)
+                            .empty());
+    };
+
+    round(baseline::kFilterAll, false);
+    round(0x0f, false); // same epoch: served from the staged planes
+    mutate(1);
+    round(baseline::kFilterAll, false);
+    resident.forceReset();
+    round(0x33, false);
+    mutate(2);
+    round(baseline::kFilterAll, true);
+    round(baseline::kFilterAll, false);
+    EXPECT_EQ(resident.resets(), 2u);
+}
+
 // ---- the full open-loop drive -------------------------------------------
 
 TEST(OpenLoopTest, MutationPlusKillKeepsExactlyOnceAndGoldens)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     baseline::RagCorpusSpec base{"load-fleet", 0, 2048, 368};
     const uint64_t seed = 4242;
 

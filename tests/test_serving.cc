@@ -236,9 +236,6 @@ TEST(BatchFormer, ExactlyMaxLingerAdmissionsStillShipsByCount)
 
 TEST(ServingBatch, EveryBatchSizeMatchesSingleRetrieval)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     RagCorpusSpec corpus{"unit", 0, 2500, 368};
     const uint64_t seed = 77;
     apu::ApuDevice dev;
@@ -275,9 +272,6 @@ TEST(ServingBatch, EveryBatchSizeMatchesSingleRetrieval)
 
 TEST(ServingBatch, OverlapDoesNotChangeFunctionalResults)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     RagCorpusSpec corpus{"unit", 0, 2000, 368};
     apu::ApuDevice dev;
     dram::DramSystem hbm(dram::hbm2eConfig());
@@ -427,9 +421,6 @@ struct ServingFixture
 
 TEST(DeviceServerTest, PipelineServesCorrectAnswers)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     ServingFixture fx;
     ServerConfig cfg;
     cfg.batch = BatchPolicy{4, 4};
@@ -465,6 +456,47 @@ TEST(DeviceServerTest, PipelineServesCorrectAnswers)
 }
 
 // ---- Open-loop close-out at the device server --------------------------
+
+TEST(FunctionalShardLimits, OverTheChunkLimitIsRejected)
+{
+    const apu::ApuSpec &spec = apu::defaultSpec();
+    RagCorpusSpec at_limit{"at-limit", 0, size_t(1) << 21, 368};
+    EXPECT_TRUE(validateFunctionalShard(spec, at_limit).ok());
+    RagCorpusSpec over = at_limit;
+    over.numChunks += 1;
+    Status st = validateFunctionalShard(spec, over);
+    EXPECT_EQ(st.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(st.message().find("functional corpus limit"),
+              std::string::npos)
+        << st.message();
+}
+
+TEST(FunctionalShardLimits, StagedPlanesOverTheCoreL4ShareAreRejected)
+{
+    // A 16 MiB-per-core device: 4096 x 368 stages one supertile of
+    // 368 64 KiB planes (23 MiB); 2048 x 128 stages 8 MiB.
+    apu::ApuSpec small = apu::defaultSpec();
+    small.l4Bytes = 64ull << 20;
+    RagCorpusSpec fits{"fits", 0, 2048, 128};
+    RagCorpusSpec wide{"wide", 0, 4096, 368};
+    EXPECT_TRUE(validateFunctionalShard(small, fits).ok());
+    Status st = validateFunctionalShard(small, wide);
+    EXPECT_EQ(st.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(st.message().find("L4 share"), std::string::npos)
+        << st.message();
+    // Rejected where the shard server is built; a TimingOnly core
+    // stages nothing and is not limited.
+    EXPECT_DEATH(
+        {
+            apu::ApuDevice dev(small);
+            DeviceServer server(dev, wide, 0, nullptr, 1, {});
+        },
+        "L4 share");
+    apu::ApuDevice timing(small);
+    timing.core(0).setMode(apu::ExecMode::TimingOnly);
+    DeviceServer server(timing, wide, 0, nullptr, 1, {});
+    EXPECT_EQ(server.resets(), 0u);
+}
 
 TEST(ServingBatch, DepthOneClosesOutAtExactlyTheLingerBound)
 {

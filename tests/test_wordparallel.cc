@@ -898,3 +898,437 @@ TEST(WordParallelCycles, BmmFunctionalMatchesTimingOnlyOnFig12Inputs)
             << core::bmmVariantName(v);
     }
 }
+
+// ---- Live-lane extents: extent-aware ops == full-width evaluation ------
+
+namespace {
+
+constexpr unsigned kExtVrs = 12;  ///< VRs the property sweep touches
+constexpr unsigned kExtSlots = 4; ///< VMRs the property sweep touches
+
+/**
+ * Two cores of one device driven with the same op sequence: core 0
+ * holds extent-tracked registers (a live prefix plus a uniform
+ * fill), core 1 the same contents fully materialized, with its
+ * bit-slice engine on the scalar reference. Core 1's registers are
+ * all-live, so every op there evaluates full width.
+ */
+struct ExtentPair
+{
+    ExtentPair() : lanes(dev.core(0)), full(dev.core(1))
+    {
+        dev.core(1).bitproc().setScalarReference(true);
+    }
+
+    size_t length() const { return dev.spec().vrLength; }
+
+    /**
+     * Make every oracle register all-live (the writable accessors
+     * do), so the next op on core 1 evaluates full width.
+     */
+    void
+    widenOracle()
+    {
+        apu::ApuCore &c = dev.core(1);
+        for (unsigned vr = 0; vr < c.vr().numVrs(); ++vr)
+            c.vr()[vr];
+        for (unsigned s = 0; s < c.l1().numVmrs(); ++s)
+            c.l1().slot(s);
+    }
+
+    /** Run `op` on the extent core, then full width on the oracle. */
+    template <typename Op>
+    void
+    both(Op op)
+    {
+        op(lanes);
+        widenOracle();
+        op(full);
+    }
+
+    /** Extent 0, 1, ragged, a multiple of 64 (< L), or full L. */
+    size_t
+    randomExtent(Rng &rng) const
+    {
+        size_t l = length();
+        switch (rng.nextBelow(5)) {
+          case 0:
+            return 0;
+          case 1:
+            return 1;
+          case 2: {
+            size_t e = 1 + rng.nextBelow(l - 1);
+            return e % 64 ? e : e - 1;
+          }
+          case 3:
+            return 64 * (1 + rng.nextBelow(l / 64 - 1));
+          default:
+            return l;
+        }
+    }
+
+    /** Small alphabets make max/min ties between prefix and tail. */
+    static uint16_t
+    randomValue(Rng &rng)
+    {
+        return rng.nextBelow(2) ? static_cast<uint16_t>(rng.nextBelow(4))
+                                : rng.nextU16();
+    }
+
+    /** Fill [0, e) of `live` (and the same lanes of `mirror`). */
+    void
+    fillBoth(uint16_t *live, std::vector<uint16_t> &mirror, size_t e,
+             uint16_t fill, Rng &rng)
+    {
+        for (size_t i = 0; i < length(); ++i) {
+            uint16_t v = i < e ? randomValue(rng) : fill;
+            if (i < e)
+                live[i] = v;
+            mirror[i] = v;
+        }
+    }
+
+    void
+    seedVr(unsigned vr, Rng &rng)
+    {
+        size_t e = randomExtent(rng);
+        uint16_t fill = randomValue(rng);
+        fillBoth(dev.core(0).vr().lanes(vr).reshape(e, fill),
+                 dev.core(1).vr()[vr], e, fill, rng);
+    }
+
+    void
+    seedSlot(unsigned vmr, Rng &rng)
+    {
+        size_t e = randomExtent(rng);
+        uint16_t fill = randomValue(rng);
+        fillBoth(dev.core(0).l1().lanes(vmr).reshape(e, fill),
+                 dev.core(1).l1().slot(vmr), e, fill, rng);
+    }
+
+    /**
+     * Same lane values and the same CycleStats on both cores.
+     * `materialize` compares the accessor-visible registers (which
+     * fills core 0's stale tails); otherwise lanes are read through
+     * Lanes::at, leaving core 0's tails stale for the next op.
+     */
+    void
+    expectIdentical(const std::string &where, bool materialize)
+    {
+        const apu::ApuCore &a = dev.core(0);
+        const apu::ApuCore &b = dev.core(1);
+        ASSERT_EQ(a.stats().cycles(), b.stats().cycles()) << where;
+        ASSERT_EQ(a.stats().uops(), b.stats().uops()) << where;
+        for (unsigned vr = 0; vr < a.vr().numVrs(); ++vr) {
+            if (materialize) {
+                ASSERT_TRUE(a.vr()[vr] == b.vr()[vr])
+                    << where << ": VR " << vr;
+                continue;
+            }
+            const apu::Lanes &x = a.vr().lanes(vr);
+            const std::vector<uint16_t> &y = b.vr()[vr];
+            for (size_t i = 0; i < length(); ++i)
+                ASSERT_EQ(x.at(i), y[i])
+                    << where << ": VR " << vr << " lane " << i
+                    << " (extent " << x.extent() << ")";
+        }
+        for (unsigned s = 0; s < kExtSlots; ++s)
+            ASSERT_TRUE(a.l1().slot(s) == b.l1().slot(s))
+                << where << ": VMR " << s;
+    }
+
+    ApuDevice dev;
+    Gvml lanes;
+    Gvml full;
+};
+
+using Ewise2 = void (Gvml::*)(Vr, Vr, Vr);
+constexpr Ewise2 kEwise2[] = {
+    &Gvml::xor16, &Gvml::and16, &Gvml::or16,  &Gvml::addS16,
+    &Gvml::subU16, &Gvml::mulS16, &Gvml::maxU16, &Gvml::ltU16};
+
+using Ewise1 = void (Gvml::*)(Vr, Vr);
+constexpr Ewise1 kEwise1[] = {&Gvml::not16, &Gvml::popcnt16};
+
+/** `k` distinct VRs of [0, kExtVrs), in random order. */
+std::vector<unsigned>
+distinctVrs(Rng &rng, size_t k)
+{
+    std::vector<unsigned> all(kExtVrs);
+    for (unsigned i = 0; i < kExtVrs; ++i)
+        all[i] = i;
+    for (size_t i = 0; i < k; ++i)
+        std::swap(all[i], all[i + rng.nextBelow(kExtVrs - i)]);
+    all.resize(k);
+    return all;
+}
+
+/** Drive both cores of `p` through `steps` random extent-aware ops. */
+void
+runExtentOps(ExtentPair &p, uint64_t seed, int steps)
+{
+    Rng rng(seed);
+    for (unsigned vr = 0; vr < kExtVrs; ++vr)
+        p.seedVr(vr, rng);
+    for (unsigned s = 0; s < kExtSlots; ++s)
+        p.seedSlot(s, rng);
+    p.expectIdentical("seeded", false);
+
+    auto vr = [&] { return Vr(static_cast<unsigned>(
+                        rng.nextBelow(kExtVrs))); };
+    auto vmr = [&] { return Vmr(static_cast<unsigned>(
+                         rng.nextBelow(kExtSlots))); };
+    for (int step = 0; step < steps; ++step) {
+        std::string where = "seed " + std::to_string(seed) + " step " +
+            std::to_string(step);
+        unsigned op = static_cast<unsigned>(rng.nextBelow(13));
+        where += " op " + std::to_string(op);
+        p.widenOracle();
+        switch (op) {
+          case 0: {
+            Vr d = vr();
+            uint16_t imm = ExtentPair::randomValue(rng);
+            p.lanes.cpyImm16(d, imm);
+            p.full.cpyImm16(d, imm);
+            break;
+          }
+          case 1: {
+            Ewise2 fn = kEwise2[rng.nextBelow(std::size(kEwise2))];
+            Vr d = vr(), a = vr(), b = vr();
+            (p.lanes.*fn)(d, a, b);
+            (p.full.*fn)(d, a, b);
+            break;
+          }
+          case 2: {
+            Ewise1 fn = kEwise1[rng.nextBelow(std::size(kEwise1))];
+            Vr d = vr(), a = vr();
+            (p.lanes.*fn)(d, a);
+            (p.full.*fn)(d, a);
+            break;
+          }
+          case 3: {
+            // The fused MAC against the unfused op triple.
+            size_t n = 1 + rng.nextBelow(kExtVrs - 3);
+            auto regs = distinctVrs(rng, n + 3);
+            Vr emb(regs[0]), q(regs[1]), t(regs[2]);
+            std::vector<Vr> accs;
+            std::vector<uint16_t> imms;
+            for (size_t i = 0; i < n; ++i) {
+                accs.push_back(Vr(regs[3 + i]));
+                imms.push_back(rng.nextU16());
+            }
+            p.lanes.macImmS16(emb, q, t, accs.data(), imms.data(), n);
+            for (size_t i = 0; i < n; ++i) {
+                p.full.cpyImm16(q, imms[i]);
+                p.full.mulS16(t, emb, q);
+                p.full.addS16(accs[i], accs[i], t);
+            }
+            break;
+          }
+          case 4: {
+            Vr d = vr(), m = vr();
+            uint16_t imm = ExtentPair::randomValue(rng);
+            p.lanes.cpyImm16Nmsk(d, imm, m);
+            p.full.cpyImm16Nmsk(d, imm, m);
+            break;
+          }
+          case 5: {
+            Vr s = vr();
+            auto a = p.lanes.maxIndexU16(s);
+            auto b = p.full.maxIndexU16(s);
+            ASSERT_EQ(a.value, b.value) << where;
+            ASSERT_EQ(a.index, b.index) << where;
+            a = p.lanes.minIndexU16(s);
+            b = p.full.minIndexU16(s);
+            ASSERT_EQ(a.value, b.value) << where;
+            ASSERT_EQ(a.index, b.index) << where;
+            break;
+          }
+          case 6: {
+            Vr d = vr();
+            Vmr s = vmr();
+            p.lanes.load16(d, s);
+            p.full.load16(d, s);
+            break;
+          }
+          case 7: {
+            Vmr d = vmr();
+            Vr s = vr();
+            p.lanes.store16(d, s);
+            p.full.store16(d, s);
+            break;
+          }
+          case 8: {
+            // Within or beyond the extent, writing the fill or not.
+            Vr d = vr();
+            const apu::Lanes &x = p.dev.core(0).vr().lanes(d.idx);
+            size_t idx = rng.nextBelow(p.length());
+            uint16_t v =
+                rng.nextBelow(2) ? x.fill() : ExtentPair::randomValue(rng);
+            p.dev.core(0).rspSet(d.idx, idx, v);
+            p.dev.core(1).rspSet(d.idx, idx, v);
+            break;
+          }
+          case 9: {
+            Vr s = vr();
+            size_t idx = rng.nextBelow(p.length());
+            ASSERT_EQ(p.dev.core(0).rspGet(s.idx, idx),
+                      p.dev.core(1).rspGet(s.idx, idx))
+                << where;
+            break;
+          }
+          case 10: {
+            size_t grp = size_t(1) << rng.nextBelow(16);
+            size_t subgrp = size_t(1) << rng.nextBelow(
+                                static_cast<uint64_t>(log2Floor(grp)) + 1);
+            Vr d = vr(), s = vr();
+            p.lanes.addSubgrpS16(d, s, grp, subgrp);
+            p.full.addSubgrpS16(d, s, grp, subgrp);
+            break;
+          }
+          case 11:
+            p.seedVr(vr().idx, rng);
+            break;
+          default:
+            p.seedSlot(vmr().idx, rng);
+            break;
+        }
+        p.expectIdentical(where, step % 8 == 7);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    p.expectIdentical("final", true);
+}
+
+} // namespace
+
+TEST(LiveLaneExtents, RandomOpsMatchFullWidth)
+{
+    for (uint64_t seed : {11u, 12u, 13u, 14u}) {
+        ExtentPair p;
+        runExtentOps(p, seed, 120);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(LiveLaneExtents, RetrievalOpsStayOnLiveLanes)
+{
+    // The exhaustive retrieval sequence on a 512-lane shard: every
+    // register it writes keeps a 512-lane extent, so no op walks the
+    // padding; the answers match the full-width evaluation.
+    ExtentPair p;
+    const size_t live = 512;
+    std::vector<uint16_t> emb(p.length(), 0), adm(p.length(), 0);
+    Rng rng(9);
+    for (size_t i = 0; i < live; ++i) {
+        emb[i] = static_cast<uint16_t>(
+            static_cast<int>(rng.nextBelow(15)) - 7);
+        adm[i] = rng.nextBelow(4) != 0;
+    }
+    std::copy(emb.begin(), emb.begin() + live,
+              p.dev.core(0).l1().lanes(0).reshape(live, 0));
+    std::copy(adm.begin(), adm.begin() + live,
+              p.dev.core(0).l1().lanes(1).reshape(live, 0));
+    p.dev.core(1).l1().slot(0) = emb;
+    p.dev.core(1).l1().slot(1) = adm;
+
+    const Vr accs[2] = {Vr(8), Vr(9)};
+    const uint16_t imms[2] = {3, 0xfffb};
+    p.both([](Gvml &g) { g.cpyImm16(Vr(4), 0x8000); });
+    for (Vr a : accs)
+        p.both([a](Gvml &g) { g.cpyImm16(a, 0); });
+    p.both([](Gvml &g) { g.load16(Vr(0), Vmr(0)); });
+    p.both([&](Gvml &g) {
+        g.macImmS16(Vr(0), Vr(1), Vr(2), accs, imms, 2);
+    });
+    p.both([](Gvml &g) { g.load16(Vr(6), Vmr(1)); });
+    for (Vr a : accs) {
+        p.both([a](Gvml &g) { g.xor16(a, a, Vr(4)); });
+        p.both([a](Gvml &g) { g.cpyImm16Nmsk(a, 0, Vr(6)); });
+    }
+    const apu::VrFile &vrs = p.dev.core(0).vr();
+    for (unsigned r : {0u, 2u, 6u, 8u, 9u})
+        EXPECT_EQ(vrs.lanes(r).extent(), live) << "VR " << r;
+    EXPECT_EQ(vrs.lanes(1).extent(), 0u);
+    EXPECT_EQ(vrs.lanes(8).fill(), 0u); // padding never matches
+    for (Vr a : accs) {
+        for (int k = 0; k < 5; ++k) {
+            p.widenOracle();
+            auto x = p.lanes.maxIndexU16(a);
+            auto y = p.full.maxIndexU16(a);
+            ASSERT_EQ(x.value, y.value);
+            ASSERT_EQ(x.index, y.index);
+            EXPECT_LT(x.index, live);
+            p.dev.core(0).rspSet(a.idx, x.index, 0);
+            p.dev.core(1).rspSet(a.idx, y.index, 0);
+        }
+        EXPECT_EQ(vrs.lanes(a.idx).extent(), live);
+    }
+    p.expectIdentical("retrieval", true);
+}
+
+TEST(LiveLaneExtents, MaxMinTailTiesKeepFirstIndex)
+{
+    ApuDevice dev;
+    Gvml g(dev.core(0));
+    apu::Lanes &x = dev.core(0).vr().lanes(1);
+    auto shape = [&](size_t e, uint16_t fill) {
+        uint16_t *v = x.reshape(e, fill);
+        for (size_t i = 0; i < e; ++i)
+            v[i] = 100;
+        if (e > 37)
+            v[37] = 500, v[38] = 7;
+    };
+    // Prefix max tied by the tail: the prefix index is first.
+    shape(100, 500);
+    EXPECT_EQ(g.maxIndexU16(Vr(1)).index, 37u);
+    EXPECT_EQ(g.maxIndexU16(Vr(1)).value, 500u);
+    // A strictly larger tail wins at its first lane, the extent.
+    shape(100, 501);
+    EXPECT_EQ(g.maxIndexU16(Vr(1)).index, 100u);
+    EXPECT_EQ(g.maxIndexU16(Vr(1)).value, 501u);
+    shape(100, 499);
+    EXPECT_EQ(g.maxIndexU16(Vr(1)).index, 37u);
+    // Min: tie at the prefix minimum, then a strictly smaller tail.
+    shape(100, 7);
+    EXPECT_EQ(g.minIndexU16(Vr(1)).index, 38u);
+    shape(100, 6);
+    EXPECT_EQ(g.minIndexU16(Vr(1)).index, 100u);
+    EXPECT_EQ(g.minIndexU16(Vr(1)).value, 6u);
+    // No live lanes: every lane is the fill, so lane 0 is first.
+    shape(0, 42);
+    EXPECT_EQ(g.maxIndexU16(Vr(1)).index, 0u);
+    EXPECT_EQ(g.minIndexU16(Vr(1)).index, 0u);
+    EXPECT_EQ(g.maxIndexU16(Vr(1)).value, 42u);
+    // Full extent: the tail does not exist.
+    shape(x.length(), 9999);
+    EXPECT_EQ(g.maxIndexU16(Vr(1)).index, 37u);
+}
+
+TEST(LiveLaneExtents, RspSetBeyondExtent)
+{
+    ApuDevice dev;
+    apu::ApuCore &core = dev.core(0);
+    apu::Lanes &x = core.vr().lanes(3);
+    uint16_t *v = x.reshape(10, 7);
+    for (size_t i = 0; i < 10; ++i)
+        v[i] = static_cast<uint16_t>(i);
+    // Writing the fill beyond the extent changes nothing.
+    core.rspSet(3, 20, 7);
+    EXPECT_EQ(x.extent(), 10u);
+    // Any other value grows the live prefix through that lane.
+    core.rspSet(3, 20, 9);
+    EXPECT_EQ(x.extent(), 21u);
+    EXPECT_EQ(core.rspGet(3, 15), 7u);
+    EXPECT_EQ(core.rspGet(3, 20), 9u);
+    EXPECT_EQ(core.rspGet(3, 21), 7u);
+    const auto &all = static_cast<const apu::VrFile &>(core.vr())[3];
+    for (size_t i = 0; i < all.size(); ++i)
+        ASSERT_EQ(all[i], i < 10 ? i : i == 20 ? 9u : 7u) << i;
+    // The read-only view materializes but keeps the extent; the
+    // writable one makes every lane live.
+    EXPECT_EQ(x.extent(), 21u);
+    core.vr()[3][0] = 1;
+    EXPECT_EQ(x.extent(), x.length());
+}
