@@ -1,6 +1,7 @@
 #include "baseline/ivf.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -9,31 +10,29 @@ namespace cisram::baseline {
 
 namespace {
 
-/** int32-exact dot of two int16 rows. */
-int64_t
-rowDot(const int16_t *a, const int16_t *b, size_t dim)
+/**
+ * out[r] = argmax_j dot(rows[r], centroid_j) for `n` rows, scored
+ * through dotBlock with the centroids as the query block. Strict
+ * greater: ties keep the lowest list id.
+ */
+void
+assignBlock(const std::vector<int16_t> &centroids, size_t k,
+            const int16_t *const *rows, size_t n, size_t dim,
+            std::vector<int32_t> &scores, uint32_t *out)
 {
-    int64_t s = 0;
-    for (size_t d = 0; d < dim; ++d)
-        s += static_cast<int32_t>(a[d]) * b[d];
-    return s;
-}
-
-/** argmax_j dot(row, centroid_j); ties to the lowest j. */
-size_t
-bestList(const int16_t *row, const std::vector<int16_t> &centroids,
-         size_t k, size_t dim)
-{
-    size_t best = 0;
-    int64_t bestScore = rowDot(row, centroids.data(), dim);
-    for (size_t j = 1; j < k; ++j) {
-        int64_t s = rowDot(row, centroids.data() + j * dim, dim);
-        if (s > bestScore) { // strict: ties keep the lower id
-            bestScore = s;
-            best = j;
+    dotBlock(centroids.data(), k, rows, n, dim, scores.data());
+    for (size_t r = 0; r < n; ++r) {
+        uint32_t best = 0;
+        int32_t bestScore = scores[r];
+        for (size_t j = 1; j < k; ++j) {
+            int32_t s = scores[j * n + r];
+            if (s > bestScore) {
+                bestScore = s;
+                best = static_cast<uint32_t>(j);
+            }
         }
+        out[r] = best;
     }
-    return best;
 }
 
 } // namespace
@@ -55,9 +54,15 @@ IvfClustering::build(const RagCorpusSpec &spec, uint64_t seed,
     sampleCount = std::min(sampleCount, spec.numChunks);
     size_t stride = spec.numChunks / sampleCount;
     std::vector<int16_t> sample(sampleCount * dim);
-    for (size_t i = 0; i < sampleCount; ++i)
-        genEmbeddingRow(spec, spec.firstChunk + i * stride, seed,
-                        sample.data() + i * dim);
+    std::vector<const int16_t *> samplePtr(sampleCount);
+    for (size_t i = 0; i < sampleCount; ++i) {
+        int16_t *row = sample.data() + i * dim;
+        genEmbeddingRow(spec, spec.firstChunk + i * stride, seed, row);
+        cisram_assert(withinDotBudget(row, dim), "ivf: chunk ",
+                      spec.firstChunk + i * stride,
+                      " is outside the exactness budget");
+        samplePtr[i] = row;
+    }
 
     // Init: evenly strided sample rows as the first centroids.
     IvfClustering cl;
@@ -73,16 +78,24 @@ IvfClustering::build(const RagCorpusSpec &spec, uint64_t seed,
     // device scores candidates by inner product, so training with the
     // same affinity keeps probe selection aligned with what the
     // distance kernel will actually compute), rounded-mean update.
-    std::vector<size_t> assign(sampleCount);
+    // Centroids are means of in-budget rows, so their elements stay
+    // in [-kMaxElement, kMaxElement] and every dot with a row stays
+    // exact.
+    constexpr size_t kBlock = TopKBlock::kRowBlock;
+    std::vector<int32_t> scores(k * kBlock);
+    std::vector<uint32_t> assign(sampleCount);
     std::vector<int64_t> sums(k * dim);
     std::vector<size_t> counts(k);
     for (size_t it = 0; it < cfg.iterations; ++it) {
+        for (size_t i = 0; i < sampleCount; i += kBlock)
+            assignBlock(cl.centroids_, k, samplePtr.data() + i,
+                        std::min(kBlock, sampleCount - i), dim,
+                        scores, assign.data() + i);
         std::fill(sums.begin(), sums.end(), 0);
         std::fill(counts.begin(), counts.end(), 0);
         for (size_t i = 0; i < sampleCount; ++i) {
-            const int16_t *row = sample.data() + i * dim;
-            size_t j = bestList(row, cl.centroids_, k, dim);
-            assign[i] = j;
+            const int16_t *row = samplePtr[i];
+            size_t j = assign[i];
             ++counts[j];
             for (size_t d = 0; d < dim; ++d)
                 sums[j * dim + d] += row[d];
@@ -98,20 +111,31 @@ IvfClustering::build(const RagCorpusSpec &spec, uint64_t seed,
         }
     }
 
-    // Final assignment of every chunk, then list arrays. Scanning
-    // chunks in ascending id order makes ids ascend within each
-    // list — the device path's per-supertile top-k extraction is
-    // only tie-exact under that ordering.
+    // Final assignment of every chunk, one generated row block at a
+    // time, then list arrays. Scanning chunks in ascending id order
+    // makes ids ascend within each list — the device path's
+    // per-supertile top-k extraction is only tie-exact under that
+    // ordering.
     cl.assign_.resize(spec.numChunks);
-    std::vector<uint64_t> listCounts(k, 0);
-    std::vector<int16_t> row(dim);
-    for (size_t c = 0; c < spec.numChunks; ++c) {
-        genEmbeddingRow(spec, spec.firstChunk + c, seed, row.data());
-        uint32_t j = static_cast<uint32_t>(
-            bestList(row.data(), cl.centroids_, k, dim));
-        cl.assign_[c] = j;
-        ++listCounts[j];
+    std::vector<int16_t> block(kBlock * dim);
+    std::array<const int16_t *, kBlock> blockPtr;
+    for (size_t r = 0; r < kBlock; ++r)
+        blockPtr[r] = block.data() + r * dim;
+    for (size_t c0 = 0; c0 < spec.numChunks; c0 += kBlock) {
+        size_t n = std::min(kBlock, spec.numChunks - c0);
+        for (size_t r = 0; r < n; ++r) {
+            uint64_t chunk = spec.firstChunk + c0 + r;
+            genEmbeddingRow(spec, chunk, seed, block.data() + r * dim);
+            cisram_assert(withinDotBudget(blockPtr[r], dim),
+                          "ivf: chunk ", chunk,
+                          " is outside the exactness budget");
+        }
+        assignBlock(cl.centroids_, k, blockPtr.data(), n, dim, scores,
+                    cl.assign_.data() + c0);
     }
+    std::vector<uint64_t> listCounts(k, 0);
+    for (uint32_t j : cl.assign_)
+        ++listCounts[j];
     cl.offsets_.assign(k + 1, 0);
     for (size_t j = 0; j < k; ++j)
         cl.offsets_[j + 1] = cl.offsets_[j] + listCounts[j];
@@ -128,29 +152,26 @@ int64_t
 IvfClustering::centroidDot(const int16_t *query, size_t list) const
 {
     cisram_assert(list < numLists(), "list id OOB");
-    return rowDot(query, centroids_.data() + list * dim_, dim_);
+    const int16_t *c = centroids_.data() + list * dim_;
+    int32_t s = 0;
+    dotBlock(query, 1, &c, 1, dim_, &s);
+    return s;
 }
 
 std::vector<uint32_t>
 IvfClustering::selectProbes(const int16_t *query,
                             size_t nprobe) const
 {
-    size_t k = numLists();
-    nprobe = std::min(nprobe, k);
-    if (nprobe == 0)
-        return {};
     // Hit's tie rule (score desc, id asc) is exactly the probe
-    // ordering contract; centroid dots fit a float exactly
-    // (|dot| <= 368 * 7 * 7 < 2^24).
-    std::vector<Hit> scored;
-    scored.reserve(k);
-    for (size_t j = 0; j < k; ++j)
-        scored.push_back(
-            {static_cast<float>(centroidDot(query, j)), j});
-    hitFinalize(scored);
-    std::vector<uint32_t> probes(nprobe);
-    for (size_t j = 0; j < nprobe; ++j)
-        probes[j] = static_cast<uint32_t>(scored[j].id);
+    // ordering contract, so the probes are the query's top-nprobe
+    // centroids.
+    TopKBlock top(query, 1, dim_, std::min(nprobe, numLists()));
+    for (size_t j = 0; j < numLists(); ++j)
+        top.add(centroids_.data() + j * dim_, j);
+    std::vector<Hit> best = std::move(top.finish()[0]);
+    std::vector<uint32_t> probes(best.size());
+    for (size_t j = 0; j < best.size(); ++j)
+        probes[j] = static_cast<uint32_t>(best[j].id);
     return probes;
 }
 
@@ -160,18 +181,15 @@ searchFilteredFlat(const IndexFlatI16 &flat,
                    const int16_t *query, size_t k,
                    uint16_t filter_mask)
 {
-    std::vector<Hit> heap;
-    heap.reserve(k + 1);
+    TopKBlock top(query, 1, flat.dim(), k);
     for (size_t id = 0; id < flat.size(); ++id) {
         if (filter_mask != kFilterAll &&
             !passesFilter(filter_mask,
                           chunkLabel(spec.firstChunk + id, seed)))
             continue;
-        hitHeapPush(heap, k,
-                    {static_cast<float>(flat.dot(query, id)), id});
+        top.add(flat.row(id), id);
     }
-    hitFinalize(heap);
-    return heap;
+    return std::move(top.finish()[0]);
 }
 
 std::vector<Hit>
@@ -183,12 +201,10 @@ IndexIvfI16::search(const int16_t *query, size_t k, size_t nprobe,
                                   filter_mask);
     cisram_assert(flat_.size() == clustering_.numChunks(),
                   "clustering / index size mismatch");
-    auto probes = clustering_.selectProbes(query, nprobe);
-    std::vector<Hit> heap;
-    heap.reserve(k + 1);
+    TopKBlock top(query, 1, flat_.dim(), k);
     const auto &offsets = clustering_.listOffsets();
     const auto &order = clustering_.order();
-    for (uint32_t list : probes) {
+    for (uint32_t list : clustering_.selectProbes(query, nprobe)) {
         for (uint64_t p = offsets[list]; p < offsets[list + 1]; ++p) {
             size_t id = order[p];
             if (filter_mask != kFilterAll &&
@@ -196,13 +212,10 @@ IndexIvfI16::search(const int16_t *query, size_t k, size_t nprobe,
                               chunkLabel(spec_.firstChunk + id,
                                          seed_)))
                 continue;
-            hitHeapPush(
-                heap, k,
-                {static_cast<float>(flat_.dot(query, id)), id});
+            top.add(flat_.row(id), id);
         }
     }
-    hitFinalize(heap);
-    return heap;
+    return std::move(top.finish()[0]);
 }
 
 } // namespace cisram::baseline

@@ -24,7 +24,9 @@
  * Max inner product is used for both training assignment and probe
  * selection because it is exactly what the device distance kernel
  * computes; on the clustered corpus model (workloads.hh, topics > 0)
- * it separates topics cleanly.
+ * it separates topics cleanly. Both score through the golden layer's
+ * one kernel (golden.hh, dotBlock): training scores each block of
+ * rows against all centroids as the query block.
  *
  * The `nprobe = numLists` identity invariant: probing every list
  * scans exactly the same chunk set as the exhaustive path, so the
@@ -73,7 +75,7 @@ class IvfClustering
     /** Centroid table, numLists x dim, int16 (device-stageable). */
     const std::vector<int16_t> &centroids() const { return centroids_; }
 
-    /** int32-exact inner product of `query` with list's centroid. */
+    /** Exact inner product of `query` with list's centroid. */
     int64_t centroidDot(const int16_t *query, size_t list) const;
 
     /**

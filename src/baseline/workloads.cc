@@ -63,8 +63,8 @@ namespace {
 /**
  * Clustered-model element with the topic already resolved. Center in
  * [-5, 5] plus noise in [-2, 2]: the sum stays inside the
- * quantization range [-7, 7], so the int16 dot-product budget
- * (368 * 7 * 7 < 2^15) holds for clustered corpora too.
+ * quantization range [-7, 7], so the exactness budget (golden.hh)
+ * holds for clustered corpora too.
  */
 int16_t
 clusteredValue(uint64_t chunk, uint64_t d, uint64_t seed,

@@ -8,7 +8,8 @@
  * embeddings. Since ENNS latency depends only on embedding geometry,
  * we generate deterministic synthetic embeddings; values are
  * quantized to [-7, 7] (4-bit-scale quantization) so that a
- * 368-element inner product fits in the APU's native int16.
+ * 368-element inner product stays inside the exactness budget
+ * (golden.hh, kMaxDot: the APU's native int16).
  *
  * Generation is stateless (hash of chunk, dim, seed), so any subset
  * of a paper-scale corpus can be materialized without storing it.
@@ -80,7 +81,7 @@ struct RagCorpusSpec
      * can beat a random partition on it. With T > 0 each chunk
      * belongs to a hash-assigned topic and its embedding is that
      * topic's center plus per-element noise (still in [-7, 7], so
-     * dot products keep the int16 budget). Queries drawn near a
+     * rows keep the exactness budget). Queries drawn near a
      * topic center then have their true neighbours concentrated in
      * one cluster, which is what gives an IVF index a real
      * recall-vs-scan trade-off to measure.

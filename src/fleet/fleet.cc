@@ -100,6 +100,7 @@ Router::Router(const baseline::RagCorpusSpec &corpus,
     apu::ApuSpec spec = apu::defaultSpec();
     spec.numCores = cfg_.coresPerDevice;
 
+    goldens_.resize(shards_);
     fleet_.resize(cfg_.devices);
     for (unsigned d = 0; d < cfg_.devices; ++d) {
         FleetDevice &fd = fleet_[d];
@@ -125,13 +126,17 @@ Router::Router(const baseline::RagCorpusSpec &corpus,
             ss.spec.numChunks = ss.range.numChunks;
             ss.spec.firstChunk = ss.range.firstChunk;
 
-            if (cfg_.functional) {
-                ss.golden = std::make_unique<baseline::IndexFlatI16>(
+            // Replicas of one shard share its golden: it is a pure
+            // function of the shard's chunk range.
+            if (cfg_.functional && !goldens_[s]) {
+                goldens_[s] = std::make_unique<baseline::IndexFlatI16>(
                     corpus_.dim);
                 std::vector<int16_t> emb = baseline::genEmbeddings(
                     ss.spec, ss.range.firstChunk,
                     ss.range.numChunks, corpusSeed_);
-                ss.golden->add(emb.data(), ss.range.numChunks);
+                Status st =
+                    goldens_[s]->add(emb.data(), ss.range.numChunks);
+                cisram_assert(st.ok(), "fleet: ", st.message());
             }
 
             kernels::ServerConfig scfg = cfg_.server;
@@ -145,7 +150,7 @@ Router::Router(const baseline::RagCorpusSpec &corpus,
                 cfg_.coresPerDevice;
 
             ss.server = std::make_unique<kernels::DeviceServer>(
-                *fd.dev, ss.spec, core, ss.golden.get(),
+                *fd.dev, ss.spec, core, goldens_[s].get(),
                 corpusSeed_, scfg);
             fd.servers.push_back(std::move(ss));
         }

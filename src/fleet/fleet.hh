@@ -334,7 +334,6 @@ class Router
         unsigned shard = 0;
         ShardRange range;
         baseline::RagCorpusSpec spec;
-        std::unique_ptr<baseline::IndexFlatI16> golden;
         std::unique_ptr<kernels::DeviceServer> server;
 
         /**
@@ -419,6 +418,12 @@ class Router
     unsigned shards_;
     std::vector<std::vector<unsigned>> placement_;
     Fabric fabric_;
+    /**
+     * One golden index per shard (functional mode), shared by the
+     * shard's replicas. Declared before fleet_ so the servers that
+     * point at them are destroyed first.
+     */
+    std::vector<std::unique_ptr<baseline::IndexFlatI16>> goldens_;
     std::vector<FleetDevice> fleet_;
     std::vector<kernels::CircuitBreaker> routerBreakers_;
     recovery::ReplayJournal<kernels::QueryPayload> ledger_;

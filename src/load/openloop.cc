@@ -1,6 +1,7 @@
 #include "load/openloop.hh"
 
 #include <limits>
+#include <map>
 #include <memory>
 #include <unordered_set>
 
@@ -120,37 +121,53 @@ countGoldenMismatches(const std::vector<fleet::FleetOutcome> &outs,
                       const MutationPlan *plan, size_t topK,
                       kernels::RagSearchParams search)
 {
-    uint64_t mismatches = 0;
+    // Group delivered outcomes by admission epoch, so each epoch's
+    // corpus view is generated once for all of its queries.
+    std::map<uint64_t, std::vector<const fleet::FleetOutcome *>>
+        byEpoch;
     for (const fleet::FleetOutcome &o : outs) {
         if (!o.ok)
             continue;
         cisram_assert(o.id >= 1 && o.id <= trace.arrivals.size(),
                       "load: outcome #", o.id,
                       " is not from this trace");
-        const Arrival &a = trace.arrivals[o.id - 1];
-        cisram_assert(a.id == o.id,
+        cisram_assert(trace.arrivals[o.id - 1].id == o.id,
                       "load: trace ids are dense and 1-based");
         cisram_assert(o.epoch == 0 || plan,
                       "load: outcome pinned to epoch ", o.epoch,
                       " but no mutation plan was given");
+        byEpoch[o.epoch].push_back(&o);
+    }
 
+    uint64_t mismatches = 0;
+    for (const auto &[epoch, group] : byEpoch) {
         const baseline::RagCorpusSpec &spec =
-            o.epoch == 0 ? base : plan->specAt(o.epoch);
-        std::vector<int16_t> q =
-            baseline::genQuery(base.dim, a.querySeed);
-        std::vector<baseline::Hit> golden =
-            baseline::searchEpochFlat(spec, corpus_seed, q.data(),
-                                      topK, search.filterMask);
-        bool bad = golden.size() != o.hits.size();
-        for (size_t i = 0; !bad && i < golden.size(); ++i) {
-            // Golden ids are spec-local; the fleet globalizes
-            // through the same epoch view, so globalize here too.
-            uint64_t gid = spec.globalChunk(golden[i].id);
-            bad = gid != o.hits[i].id ||
-                golden[i].score != o.hits[i].score;
+            epoch == 0 ? base : plan->specAt(epoch);
+        std::vector<int16_t> queries;
+        queries.reserve(group.size() * base.dim);
+        for (const fleet::FleetOutcome *o : group) {
+            std::vector<int16_t> q = baseline::genQuery(
+                base.dim, trace.arrivals[o->id - 1].querySeed);
+            queries.insert(queries.end(), q.begin(), q.end());
         }
-        if (bad)
-            ++mismatches;
+        std::vector<std::vector<baseline::Hit>> goldens =
+            baseline::searchEpochFlatBatch(spec, corpus_seed,
+                                           queries.data(), group.size(),
+                                           topK, search.filterMask);
+        for (size_t g = 0; g < group.size(); ++g) {
+            const std::vector<baseline::Hit> &golden = goldens[g];
+            const std::vector<baseline::Hit> &hits = group[g]->hits;
+            bool bad = golden.size() != hits.size();
+            for (size_t i = 0; !bad && i < golden.size(); ++i) {
+                // Golden ids are spec-local; the fleet globalizes
+                // through the same epoch view, so globalize here too.
+                uint64_t gid = spec.globalChunk(golden[i].id);
+                bad = gid != hits[i].id ||
+                    golden[i].score != hits[i].score;
+            }
+            if (bad)
+                ++mismatches;
+        }
     }
     return mismatches;
 }

@@ -20,7 +20,7 @@
  * Every delivered outcome carries the epoch it admitted under;
  * countGoldenMismatches() regenerates each query from its trace
  * seed and bit-compares ids *and* scores against that epoch's
- * whole-corpus golden (faisslite::searchEpochFlat) — the
+ * whole-corpus golden (faisslite::searchEpochFlatBatch) — the
  * snapshot-consistency proof the bench gates on.
  */
 
@@ -98,8 +98,10 @@ OpenLoopResult runOpenLoop(fleet::Router &router,
 
 /**
  * Bit-compare every delivered outcome against its admission
- * epoch's golden: ids and scores both, against searchEpochFlat on
- * the epoch's whole-corpus spec (epoch 0 = `base`). Returns the
+ * epoch's golden: ids and scores both, against the epoch's
+ * whole-corpus spec (epoch 0 = `base`). Outcomes are grouped by
+ * epoch and each group is answered by one searchEpochFlatBatch
+ * call, so every epoch's corpus view is generated once. Returns the
  * number of mismatching queries; 0 is the snapshot-consistency
  * certificate.
  */

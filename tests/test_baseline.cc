@@ -5,6 +5,7 @@
  * against the paper's aggregate statistics.
  */
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -131,6 +132,75 @@ TEST(FaissLite, Int16IndexMatchesFloat)
     }
     // Threaded i16 search identical as well.
     EXPECT_EQ(idx16.search(q.data(), k, 4), a);
+}
+
+TEST(GoldenKernel, DotBlockMatchesScalarInt64)
+{
+    // Every query-block remainder (nq mod 4), ragged row counts and
+    // odd dims, against a plain int64 loop.
+    Rng rng(11);
+    for (size_t dim : {1u, 2u, 17u, 96u, 368u}) {
+        for (size_t nq = 1; nq <= 9; ++nq) {
+            size_t nrows = 1 + rng.nextBelow(70);
+            std::vector<int16_t> q(nq * dim), r(nrows * dim);
+            for (auto &x : q)
+                x = static_cast<int16_t>(
+                    static_cast<int>(rng.nextBelow(15)) - 7);
+            for (auto &x : r)
+                x = static_cast<int16_t>(
+                    static_cast<int>(rng.nextBelow(15)) - 7);
+            std::vector<const int16_t *> rows(nrows);
+            for (size_t i = 0; i < nrows; ++i)
+                rows[i] = r.data() + i * dim;
+            std::vector<int32_t> got(nq * nrows);
+            dotBlock(q.data(), nq, rows.data(), nrows, dim,
+                     got.data());
+            for (size_t a = 0; a < nq; ++a)
+                for (size_t b = 0; b < nrows; ++b) {
+                    int64_t want = 0;
+                    for (size_t d = 0; d < dim; ++d)
+                        want += static_cast<int64_t>(q[a * dim + d]) *
+                            r[b * dim + d];
+                    ASSERT_EQ(got[a * nrows + b], want)
+                        << "dim " << dim << " query " << a << " row "
+                        << b;
+                }
+        }
+    }
+}
+
+TEST(GoldenKernel, OutOfBudgetRowIsRejected)
+{
+    const size_t dim = 368;
+    // The extreme in-budget row and query: 368 * 7 * 7 = 18032.
+    std::vector<int16_t> sevens(dim, kMaxElement);
+    EXPECT_TRUE(withinDotBudget(sevens.data(), dim));
+    IndexFlatI16 idx(dim);
+    ASSERT_TRUE(idx.add(sevens.data(), 1).ok());
+    EXPECT_EQ(idx.dot(sevens.data(), 0), 18032);
+
+    // An element past the quantization range. Against an equal
+    // query the true dot, 368 * 32767^2, does not fit an int32: the
+    // row must be refused before any dot can wrap.
+    std::vector<int16_t> huge(dim, INT16_MAX);
+    EXPECT_FALSE(withinDotBudget(huge.data(), dim));
+    std::vector<int16_t> two(2 * dim, 1);
+    std::copy(huge.begin(), huge.end(), two.begin() + dim);
+    Status st = idx.add(two.data(), 2);
+    EXPECT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::InvalidArgument);
+    EXPECT_EQ(idx.size(), 1u) << "a rejected batch must add nothing";
+
+    // Every element in range, but too many of them: 700 * 7 * 7 >
+    // kMaxDot, so a long row is out of budget too.
+    std::vector<int16_t> longRow(700, kMaxElement);
+    EXPECT_FALSE(withinDotBudget(longRow.data(), longRow.size()));
+    IndexFlatI16 wide(longRow.size());
+    EXPECT_FALSE(wide.add(longRow.data(), 1).ok());
+    EXPECT_EQ(wide.size(), 0u);
+
+    // A query outside the budget is refused at the golden's entry.
+    EXPECT_DEATH((void)idx.search(huge.data(), 1), "exactness budget");
 }
 
 TEST(Workloads, EmbeddingsDeterministicAndBounded)

@@ -163,6 +163,58 @@ TEST(IvfClusteringTest, SelectProbesTieOrderAndClamp)
     }
 }
 
+TEST(IvfClusteringTest, AssignmentsPinnedOnFixedSpecs)
+{
+    // Centroids, list order and list sizes on three fixed specs,
+    // fingerprinted (FNV-1a) from the scalar int64 scoring loop the
+    // blocked kernel replaced. Any change to the Lloyd assignment,
+    // the final assignment or the lowest-list-id tie rule moves one.
+    struct Pin
+    {
+        RagCorpusSpec spec;
+        uint64_t seed;
+        IvfBuildConfig cfg;
+        uint64_t centroids, order;
+        std::vector<uint64_t> sizes;
+    };
+    const Pin pins[] = {
+        {RagCorpusSpec{"pin-clustered", 0, 5000, 368, 0, 6}, kSeed,
+         IvfBuildConfig{16, 2048, 4}, 0x8106f740c80ec10eull,
+         0xaddda8f977696e05ull,
+         {0, 540, 287, 1, 495, 669, 337, 509, 0, 317, 166, 0, 864,
+          815, 0, 0}},
+        {RagCorpusSpec{"pin-iid", 0, 3000, 368, 0, 0}, kSeed,
+         IvfBuildConfig{8, 1024, 3}, 0xa46dae0e5d6672cdull,
+         0xab1bbe707d97b9bdull,
+         {381, 366, 365, 362, 374, 389, 394, 369}},
+        {RagCorpusSpec{"pin-slice", 0, 2500, 96, 1000, 5}, 99,
+         IvfBuildConfig{12, 700, 5}, 0x5abffe7fe6a32c4eull,
+         0x97e325daaee67411ull,
+         {467, 511, 493, 0, 0, 0, 0, 520, 20, 0, 489, 0}},
+    };
+    auto fnv = [](uint64_t h, uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+        return h;
+    };
+    for (const Pin &pin : pins) {
+        auto cl = IvfClustering::build(pin.spec, pin.seed, pin.cfg);
+        uint64_t hc = 0xcbf29ce484222325ull, ho = hc;
+        for (int16_t c : cl.centroids())
+            hc = fnv(hc, static_cast<uint16_t>(c));
+        for (uint32_t o : cl.order())
+            ho = fnv(ho, o);
+        std::vector<uint64_t> sizes;
+        for (size_t l = 0; l < cl.numLists(); ++l)
+            sizes.push_back(cl.listSize(l));
+        EXPECT_EQ(hc, pin.centroids) << pin.spec.label;
+        EXPECT_EQ(ho, pin.order) << pin.spec.label;
+        EXPECT_EQ(sizes, pin.sizes) << pin.spec.label;
+    }
+}
+
 // ---- CPU golden: nprobe = K identity, filter semantics -----------------
 
 TEST(IvfGoldenTest, NprobeEqualsListsMatchesExhaustive)

@@ -3,7 +3,9 @@
  * Open-loop load subsystem: deterministic arrival traces (shapes,
  * tenants, bit-identical regeneration), mutation plans (epoch
  * overlays that partition exactly across shards, tombstones that
- * never compact), the per-epoch flat golden (searchEpochFlat), a
+ * never compact), the per-epoch flat golden (searchEpochFlat; its
+ * blocked form against a scalar reference, and the mismatch count
+ * against perturbed answers), a
  * single server's epoch-tagged incremental re-stage, and the full
  * open-loop drive: live mutation plus a mid-stream device kill with
  * exactly-once delivery and every answer bit-compared against its
@@ -22,6 +24,7 @@
 
 #include "baseline/faisslite.hh"
 #include "baseline/workloads.hh"
+#include "common/rng.hh"
 #include "fleet/fleet.hh"
 #include "kernels/serving.hh"
 #include "load/arrivals.hh"
@@ -299,6 +302,226 @@ TEST(EpochGolden, TombstonesNeverSurfaceAndInsertsAreLive)
                 EXPECT_EQ(got.count(g), 1u)
                     << "live insert " << g << " missing";
     }
+}
+
+namespace {
+
+/** One live view position as the scalar reference scores it. */
+struct RefRow
+{
+    int64_t score;
+    size_t local;
+    uint16_t label;
+};
+
+/**
+ * Test-only scalar reference for the epoch golden: every live
+ * position of `spec`, scored element by element through
+ * embeddingValueFor in int64 — no kernel, no row blocks.
+ */
+std::vector<RefRow>
+scalarScores(const baseline::RagCorpusSpec &spec, uint64_t seed,
+             const int16_t *query)
+{
+    std::vector<RefRow> rows;
+    for (size_t local = 0; local < spec.numChunks; ++local) {
+        uint64_t g = spec.globalChunk(local);
+        if (spec.epochView && spec.epochView->deleted.count(g))
+            continue;
+        int64_t s = 0;
+        for (size_t d = 0; d < spec.dim; ++d)
+            s += static_cast<int64_t>(query[d]) *
+                baseline::embeddingValueFor(spec, g, d, seed);
+        rows.push_back({s, local, baseline::chunkLabel(g, seed)});
+    }
+    return rows;
+}
+
+/** Top-k of `rows` under `mask`: score desc, then local id asc. */
+std::vector<baseline::Hit>
+scalarTopK(std::vector<RefRow> rows, size_t k, uint16_t mask)
+{
+    std::erase_if(rows, [&](const RefRow &r) {
+        return mask != baseline::kFilterAll && !((mask >> r.label) & 1);
+    });
+    std::sort(rows.begin(), rows.end(),
+              [](const RefRow &a, const RefRow &b) {
+                  return a.score != b.score ? a.score > b.score
+                                            : a.local < b.local;
+              });
+    std::vector<baseline::Hit> hits;
+    for (size_t i = 0; i < std::min(k, rows.size()); ++i)
+        hits.push_back({static_cast<float>(rows[i].score),
+                        rows[i].local});
+    return hits;
+}
+
+/**
+ * Blocked golden vs the scalar reference on `spec`: every filter
+ * mask (each of the 256 label subsets, then kFilterAll), one block
+ * of `nq` queries, k drawn from small values and past `live`.
+ */
+void
+expectGoldenMatchesReference(const baseline::RagCorpusSpec &spec,
+                             uint64_t seed, size_t live, Rng &rng)
+{
+    size_t nq = 1 + rng.nextBelow(9);
+    std::vector<int16_t> queries;
+    std::vector<std::vector<RefRow>> ref;
+    for (size_t q = 0; q < nq; ++q) {
+        auto v = baseline::genQuery(spec.dim, rng.next());
+        ref.push_back(scalarScores(spec, seed, v.data()));
+        queries.insert(queries.end(), v.begin(), v.end());
+    }
+    for (uint32_t m = 0; m <= 0x100; ++m) {
+        uint16_t mask = m == 0x100 ? baseline::kFilterAll
+                                   : static_cast<uint16_t>(m);
+        size_t k = rng.nextBelow(4) == 0 ? live + 7
+                                         : 1 + rng.nextBelow(12);
+        auto got = baseline::searchEpochFlatBatch(
+            spec, seed, queries.data(), nq, k, mask);
+        ASSERT_EQ(got.size(), nq);
+        for (size_t q = 0; q < nq; ++q)
+            ASSERT_EQ(got[q], scalarTopK(ref[q], k, mask))
+                << spec.label << " mask " << mask << " k " << k
+                << " query " << q << " of " << nq;
+    }
+    // The one-query entry point is the same path.
+    auto one = baseline::searchEpochFlat(spec, seed, queries.data(), 5);
+    EXPECT_EQ(one, scalarTopK(ref[0], 5, baseline::kFilterAll));
+}
+
+} // namespace
+
+TEST(EpochGolden, BlockedGoldenMatchesScalarReference)
+{
+    Rng rng(2027);
+    const baseline::RagCorpusSpec corpora[] = {
+        {"prop-iid", 0, 200, 24},
+        {"prop-clustered", 0, 180, 32, 0, 3},
+        // dim 2: every score lies in [-98, 98], so ties crowd every
+        // k boundary.
+        {"prop-ties", 0, 220, 2},
+    };
+    for (const baseline::RagCorpusSpec &base : corpora) {
+        MutationConfig mc;
+        mc.batches = 1 + static_cast<unsigned>(rng.nextBelow(3));
+        mc.insertsPerBatch = rng.nextBelow(40);
+        mc.deletesPerBatch = rng.nextBelow(30);
+        mc.seed = rng.next();
+        MutationPlan plan(base, 1 + static_cast<unsigned>(
+                                        rng.nextBelow(3)),
+                          mc);
+        const uint64_t seed = 1000 + rng.nextBelow(1000);
+        for (uint64_t e = 0; e <= plan.epochs(); ++e)
+            expectGoldenMatchesReference(plan.specAt(e), seed,
+                                         plan.liveChunksAt(e), rng);
+    }
+
+    // A static slice: spec-local ids, global generation keys.
+    expectGoldenMatchesReference({"prop-slice", 0, 150, 16, 500}, 3,
+                                 150, rng);
+
+    // An empty view: every base chunk and every insert tombstoned.
+    baseline::CorpusEpochView gone;
+    gone.epoch = 1;
+    gone.baseChunks = 120;
+    gone.inserted = {120, 121};
+    for (uint64_t g = 0; g < 122; ++g)
+        gone.deleted.insert(g);
+    baseline::RagCorpusSpec empty{"prop-empty", 0, 122, 24};
+    empty.epochView = &gone;
+    expectGoldenMatchesReference(empty, 3, 0, rng);
+    auto q = baseline::genQuery(empty.dim, 1);
+    EXPECT_TRUE(baseline::searchEpochFlat(empty, 3, q.data(), 10)
+                    .empty());
+}
+
+TEST(EpochGolden, MismatchCountIsExactlyThePerturbedOutcomes)
+{
+    // Correct answers (from the scalar reference) pinned to every
+    // epoch; then one perturbation per outcome, each of which the
+    // bit-compare must count exactly once.
+    baseline::RagCorpusSpec base{"load-neg", 0, 400, 24};
+    const uint64_t seed = 77;
+    const size_t topK = 12;
+    MutationConfig mc;
+    mc.batches = 3;
+    mc.insertsPerBatch = 40;
+    mc.deletesPerBatch = 60;
+    mc.seed = 5;
+    MutationPlan plan(base, 2, mc);
+    TrafficConfig tc;
+    tc.ratePerSecond = 60;
+    tc.seed = 9;
+    ArrivalTrace trace = genArrivalTrace(tc);
+    ASSERT_GE(trace.arrivals.size(), 20u);
+
+    auto answer = [&](uint64_t id, uint64_t epoch) {
+        const baseline::RagCorpusSpec &spec = plan.specAt(epoch);
+        auto q = baseline::genQuery(base.dim,
+                                    trace.arrivals[id - 1].querySeed);
+        auto hits = scalarTopK(scalarScores(spec, seed, q.data()), topK,
+                               baseline::kFilterAll);
+        for (baseline::Hit &h : hits)
+            h.id = spec.globalChunk(h.id);
+        return hits;
+    };
+    std::vector<fleet::FleetOutcome> outs;
+    for (const Arrival &a : trace.arrivals) {
+        fleet::FleetOutcome o;
+        o.id = a.id;
+        o.ok = true;
+        o.epoch = a.id % (plan.epochs() + 1);
+        o.hits = answer(o.id, o.epoch);
+        outs.push_back(std::move(o));
+    }
+    auto count = [&] {
+        return countGoldenMismatches(outs, trace, base, seed, &plan,
+                                     topK);
+    };
+    ASSERT_EQ(count(), 0u);
+
+    // Undelivered outcomes are not compared, whatever they hold.
+    outs[0].ok = false;
+    outs[0].hits.clear();
+    EXPECT_EQ(count(), 0u);
+
+    uint64_t perturbed = 0;
+    size_t next = 1;
+    outs[next++].hits[0].id += 1;
+    EXPECT_EQ(count(), ++perturbed) << "wrong id";
+
+    outs[next++].hits.back().score += 1.0f;
+    EXPECT_EQ(count(), ++perturbed) << "wrong score";
+
+    bool swapped = false;
+    for (; next < outs.size() && !swapped; ++next) {
+        std::vector<baseline::Hit> &h = outs[next].hits;
+        for (size_t i = 0; !swapped && i + 1 < h.size(); ++i)
+            if (h[i].score == h[i + 1].score) {
+                std::swap(h[i], h[i + 1]);
+                swapped = true;
+            }
+    }
+    ASSERT_TRUE(swapped) << "no tie pair to swap";
+    EXPECT_EQ(count(), ++perturbed) << "swapped tie pair";
+
+    bool moved = false;
+    for (; next < outs.size() && !moved; ++next) {
+        fleet::FleetOutcome &o = outs[next];
+        uint64_t other = (o.epoch + 1) % (plan.epochs() + 1);
+        if (answer(o.id, other) != o.hits) {
+            o.epoch = other;
+            moved = true;
+        }
+    }
+    ASSERT_TRUE(moved) << "no answer differs across epochs";
+    EXPECT_EQ(count(), ++perturbed) << "pinned to the wrong epoch";
+
+    ASSERT_LT(next, outs.size());
+    outs[next++].hits.pop_back();
+    EXPECT_EQ(count(), ++perturbed) << "dropped hit";
 }
 
 // ---- one server's epoch-tagged incremental re-stage ---------------------
