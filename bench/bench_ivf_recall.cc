@@ -94,11 +94,6 @@ main()
     spec.topics = 32;
     IvfBuildConfig build{32, 16384, 4};
 
-    std::printf("training coarse quantizer (K=%zu) over %zu chunks "
-                "...\n",
-                build.numLists, spec.numChunks);
-    auto cl = IvfClustering::build(spec, kSeed, build);
-
     std::printf("materializing the flat CPU golden (%.1f GB) ...\n",
                 spec.embeddingBytes() / 1e9);
     IndexFlatI16 flat(spec.dim);
@@ -107,6 +102,12 @@ main()
                                  spec.numChunks, kSeed);
         flat.add(emb.data(), spec.numChunks);
     }
+
+    // Trained from the golden's rows: the corpus is hashed once.
+    std::printf("training coarse quantizer (K=%zu) over %zu chunks "
+                "...\n",
+                build.numLists, spec.numChunks);
+    auto cl = IvfClustering::build(spec, kSeed, build, &flat);
     IndexIvfI16 ivf(flat, cl, spec, kSeed);
 
     std::vector<std::vector<int16_t>> queries;

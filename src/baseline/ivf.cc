@@ -39,10 +39,28 @@ assignBlock(const std::vector<int16_t> &centroids, size_t k,
 
 IvfClustering
 IvfClustering::build(const RagCorpusSpec &spec, uint64_t seed,
-                     const IvfBuildConfig &cfg)
+                     const IvfBuildConfig &cfg, const IndexFlatI16 *rows)
 {
     cisram_assert(spec.numChunks > 0, "empty corpus");
+    cisram_assert(!rows || (rows->size() == spec.numChunks &&
+                            rows->dim() == spec.dim),
+                  "ivf: row index does not match the corpus spec");
     size_t dim = spec.dim;
+
+    // Row `local` of the corpus: read from `rows`, which checked
+    // every row against the exactness budget when it was built, or
+    // generated into row `slot` of `buf` and checked here.
+    auto row = [&](size_t local, std::vector<int16_t> &buf,
+                   size_t slot) -> const int16_t * {
+        if (rows)
+            return rows->row(local);
+        int16_t *out = buf.data() + slot * dim;
+        genEmbeddingRow(spec, spec.firstChunk + local, seed, out);
+        cisram_assert(withinDotBudget(out, dim), "ivf: chunk ",
+                      spec.firstChunk + local,
+                      " is outside the exactness budget");
+        return out;
+    };
     size_t k = std::max<size_t>(
         1, std::min(cfg.numLists, spec.numChunks));
 
@@ -53,25 +71,18 @@ IvfClustering::build(const RagCorpusSpec &spec, uint64_t seed,
         std::max(k, std::min(cfg.trainSample, spec.numChunks));
     sampleCount = std::min(sampleCount, spec.numChunks);
     size_t stride = spec.numChunks / sampleCount;
-    std::vector<int16_t> sample(sampleCount * dim);
+    std::vector<int16_t> sample(rows ? 0 : sampleCount * dim);
     std::vector<const int16_t *> samplePtr(sampleCount);
-    for (size_t i = 0; i < sampleCount; ++i) {
-        int16_t *row = sample.data() + i * dim;
-        genEmbeddingRow(spec, spec.firstChunk + i * stride, seed, row);
-        cisram_assert(withinDotBudget(row, dim), "ivf: chunk ",
-                      spec.firstChunk + i * stride,
-                      " is outside the exactness budget");
-        samplePtr[i] = row;
-    }
+    for (size_t i = 0; i < sampleCount; ++i)
+        samplePtr[i] = row(i * stride, sample, i);
 
     // Init: evenly strided sample rows as the first centroids.
     IvfClustering cl;
     cl.dim_ = dim;
     cl.centroids_.resize(k * dim);
     for (size_t j = 0; j < k; ++j) {
-        const int16_t *row =
-            sample.data() + (j * sampleCount / k) * dim;
-        std::copy(row, row + dim, cl.centroids_.begin() + j * dim);
+        const int16_t *init = samplePtr[j * sampleCount / k];
+        std::copy(init, init + dim, cl.centroids_.begin() + j * dim);
     }
 
     // Lloyd: max-IP assignment (the Phoenix kmeansApu idiom — the
@@ -117,19 +128,12 @@ IvfClustering::build(const RagCorpusSpec &spec, uint64_t seed,
     // per-supertile top-k extraction is only tie-exact under that
     // ordering.
     cl.assign_.resize(spec.numChunks);
-    std::vector<int16_t> block(kBlock * dim);
+    std::vector<int16_t> block(rows ? 0 : kBlock * dim);
     std::array<const int16_t *, kBlock> blockPtr;
-    for (size_t r = 0; r < kBlock; ++r)
-        blockPtr[r] = block.data() + r * dim;
     for (size_t c0 = 0; c0 < spec.numChunks; c0 += kBlock) {
         size_t n = std::min(kBlock, spec.numChunks - c0);
-        for (size_t r = 0; r < n; ++r) {
-            uint64_t chunk = spec.firstChunk + c0 + r;
-            genEmbeddingRow(spec, chunk, seed, block.data() + r * dim);
-            cisram_assert(withinDotBudget(blockPtr[r], dim),
-                          "ivf: chunk ", chunk,
-                          " is outside the exactness budget");
-        }
+        for (size_t r = 0; r < n; ++r)
+            blockPtr[r] = row(c0 + r, block, r);
         assignBlock(cl.centroids_, k, blockPtr.data(), n, dim, scores,
                     cl.assign_.data() + c0);
     }

@@ -63,10 +63,17 @@ struct IvfBuildConfig
 class IvfClustering
 {
   public:
-    /** Train centroids and assign every chunk. Pure in its inputs. */
+    /**
+     * Train centroids and assign every chunk. Pure in its inputs.
+     * `rows`, when given, is the corpus already materialized (row i
+     * = spec-local chunk i, e.g. a shard's golden flat index): the
+     * sample and the final assignment read it instead of hashing
+     * every row again. The result is the same either way.
+     */
     static IvfClustering build(const RagCorpusSpec &spec,
                                uint64_t seed,
-                               const IvfBuildConfig &cfg = {});
+                               const IvfBuildConfig &cfg = {},
+                               const IndexFlatI16 *rows = nullptr);
 
     size_t numLists() const { return offsets_.size() - 1; }
     size_t dim() const { return dim_; }

@@ -307,39 +307,82 @@ RagRetriever::RagRetriever(ApuDevice &dev, dram::DramSystem &hbm,
     // batch lane) for the host to read back over PCIe.
     idsAddr_ = dev.allocator().alloc(
         8 * topK * sizeof(uint32_t), 512);
+    shard_.ext = {0, corpus_.numChunks};
 }
 
 RagRetriever::~RagRetriever()
 {
-    if (staged_)
-        dev.allocator().free(stagedAddr_);
+    for (const ResidentPlanes *rp : {&shard_, &lists_})
+        if (!rp->first.empty())
+            dev.allocator().free(rp->addr);
+    if (ivf_)
+        dev.allocator().free(centAddr_);
     dev.allocator().free(idsAddr_);
 }
 
 uint64_t
-RagRetriever::stagedPlanes(uint64_t corpus_seed)
+RagRetriever::residentSegment(ResidentPlanes &rp, size_t s,
+                              uint64_t corpus_seed)
 {
-    if (staged_ && stagedSeed_ == corpus_seed)
-        return stagedAddr_;
     size_t l = dev.spec().vrLength;
     size_t dim = corpus_.dim;
-    size_t chunks = corpus_.numChunks;
-    size_t supertiles = divCeil(chunks, l);
-    if (!staged_)
-        stagedAddr_ =
-            dev.allocator().alloc(supertiles * dim * l * 2, 512);
-    staged_ = true;
-    stagedSeed_ = corpus_seed;
-    for (size_t st = 0; st < supertiles; ++st) {
-        size_t valid = std::min(l, chunks - st * l);
-        auto rows = genRows(corpus_, corpus_seed, valid,
-                            [&](size_t j) {
-                                return corpus_.globalChunk(st * l + j);
-                            });
-        stageRows(dev, rows.data(), valid, dim,
-                  stagedAddr_ + st * dim * l * 2);
+    if (rp.first.empty()) {
+        rp.first.assign(1, 0);
+        for (size_t i = 0; i + 1 < rp.ext.size(); ++i)
+            rp.first.push_back(rp.first.back() +
+                               divCeil(rp.ext[i + 1] - rp.ext[i], l));
+        rp.addr = dev.allocator().alloc(
+            rp.first.back() * dim * l * 2, 512);
     }
-    return stagedAddr_;
+    if (rp.staged.empty() || rp.seed != corpus_seed) {
+        rp.staged.assign(rp.ext.size() - 1, false);
+        rp.seed = corpus_seed;
+    }
+    uint64_t base = rp.addr + rp.first[s] * dim * l * 2;
+    if (rp.staged[s])
+        return base;
+    rp.staged[s] = true;
+    stagedRows_ += rp.ext[s + 1] - rp.ext[s];
+    uint64_t at = base;
+    for (uint64_t p0 = rp.ext[s]; p0 < rp.ext[s + 1];
+         p0 += l, at += dim * l * 2) {
+        size_t valid = std::min<uint64_t>(l, rp.ext[s + 1] - p0);
+        auto rows = genRows(corpus_, corpus_seed, valid, [&](size_t j) {
+            return corpus_.globalChunk(rp.local(p0 + j));
+        });
+        stageRows(dev, rows.data(), valid, dim, at);
+    }
+    return base;
+}
+
+uint64_t
+RagRetriever::admitPlanes(const ResidentPlanes &rp,
+                          const std::vector<uint32_t> &segs,
+                          uint16_t filter, uint64_t corpus_seed)
+{
+    size_t l = dev.spec().vrLength;
+    size_t supertiles = 0;
+    for (uint32_t s : segs)
+        supertiles += rp.first[s + 1] - rp.first[s];
+    uint64_t addr = dev.allocator().alloc(supertiles * l * 2, 512);
+    uint64_t at = addr;
+    for (uint32_t s : segs) {
+        for (uint64_t p0 = rp.ext[s]; p0 < rp.ext[s + 1];
+             p0 += l, at += l * 2) {
+            auto admit = [&](size_t j) {
+                uint64_t local = rp.local(p0 + j);
+                return corpus_.chunkLive(local) &&
+                    (filter == baseline::kFilterAll ||
+                     baseline::passesFilter(
+                         filter, baseline::chunkLabel(
+                                     corpus_.globalChunk(local),
+                                     corpus_seed)));
+            };
+            stageAdmit(dev, std::min<uint64_t>(l, rp.ext[s + 1] - p0),
+                       admit, at);
+        }
+    }
+    return addr;
 }
 
 void
@@ -525,34 +568,15 @@ RagRetriever::retrieveBatch(
          (mutated ? 1.0 : 0.0)) * 2.0;
 
     // One pass over the corpus serves the whole batch.
-    dram::DramSystem &mem = hbm;
-    double load_emb = mem.streamReadSeconds(
+    double load_emb = hbm.streamReadSeconds(
         0, static_cast<uint64_t>(shared_dram));
 
     // The embedding planes stay staged for the retriever's lifetime;
-    // the admit marks depend on the batch's filter, so they are
-    // rebuilt per batch: lane validity AND the metadata predicate
-    // AND epoch liveness (tombstoned chunks keep their staged
-    // position but never match).
+    // only the admit planes depend on the batch and are rebuilt.
     uint64_t emb_addr = 0, adm_addr = 0;
     if (fnl) {
-        emb_addr = stagedPlanes(corpus_seed);
-        adm_addr = dev.allocator().alloc(supertiles * l * 2, 512);
-        for (size_t st = 0; st < supertiles; ++st) {
-            size_t base = st * l;
-            stageAdmit(
-                dev, std::min(l, chunks - base),
-                [&](size_t j) {
-                    return corpus_.chunkLive(base + j) &&
-                        (!filtered ||
-                         baseline::passesFilter(
-                             filter,
-                             baseline::chunkLabel(
-                                 corpus_.globalChunk(base + j),
-                                 corpus_seed)));
-                },
-                adm_addr + base * 2);
-        }
+        emb_addr = residentSegment(shard_, 0, corpus_seed);
+        adm_addr = admitPlanes(shard_, {0}, filter, corpus_seed);
     }
 
     core.stats().reset();
@@ -667,7 +691,6 @@ RagRetriever::retrieveIvfBatch(
                   "supported");
     cisram_assert(cl.numChunks() == corpus_.numChunks,
                   "clustering built for a different corpus");
-    cisram_assert(K <= l, "centroid table exceeds one VR");
 
     // CP-side probe selection mirror of the golden index. The
     // device's coarse pass below runs the same selection on the VXU;
@@ -710,47 +733,27 @@ RagRetriever::retrieveIvfBatch(
     double load_emb = hbm.streamReadSeconds(
         0, static_cast<uint64_t>(shared_dram));
 
-    // Functional staging: centroid planes (+ a lane-validity plane
-    // for the coarse pass), then each probed list's ragged supertile
-    // planes with admit marks. Chunk j of supertile st of a list is
-    // order[offsets[list] + st*l + j] — ascending within the list,
-    // which keeps per-supertile tie extraction exact.
-    uint64_t cent_addr = 0, cval_addr = 0, emb_addr = 0,
-             adm_addr = 0;
+    // Functional staging: the centroid planes (+ a lane-validity
+    // plane for the coarse pass) once per retriever, a list's planes
+    // when a batch first probes it (segment `list` of order(),
+    // ascending within the list, which keeps per-supertile tie
+    // extraction exact), and the probed lists' admit planes.
+    std::vector<uint64_t> list_addr(K);
+    uint64_t adm_addr = 0;
     if (fnl) {
-        cent_addr = dev.allocator().alloc(dim * l * 2, 512);
-        cval_addr = dev.allocator().alloc(l * 2, 512);
-        stageRows(dev, cl.centroids().data(), K, dim, cent_addr);
-        stageAdmit(dev, K, [](size_t) { return true; }, cval_addr);
-
-        size_t st_alloc = std::max<size_t>(1, total_supertiles);
-        emb_addr =
-            dev.allocator().alloc(st_alloc * dim * l * 2, 512);
-        adm_addr = dev.allocator().alloc(st_alloc * l * 2, 512);
-        size_t gst = 0;
-        for (uint32_t list : lists) {
-            size_t lsz = cl.listSize(list);
-            for (size_t st = 0; st < divCeil(lsz, l); ++st, ++gst) {
-                size_t valid = std::min(l, lsz - st * l);
-                auto chunk_at = [&](size_t j) -> uint64_t {
-                    return corpus_.firstChunk +
-                        order[offsets[list] + st * l + j];
-                };
-                auto rows =
-                    genRows(corpus_, corpus_seed, valid, chunk_at);
-                stageRows(dev, rows.data(), valid, dim,
-                          emb_addr + gst * dim * l * 2);
-                stageAdmit(
-                    dev, valid,
-                    [&](size_t j) {
-                        return !filtered ||
-                            baseline::passesFilter(
-                                filter, baseline::chunkLabel(
-                                            chunk_at(j), corpus_seed));
-                    },
-                    adm_addr + gst * l * 2);
-            }
+        if (!ivf_) {
+            ivf_ = &cl;
+            lists_.perm = order.data();
+            lists_.ext = offsets;
+            centAddr_ = dev.allocator().alloc((dim + 1) * l * 2, 512);
+            stageRows(dev, cl.centroids().data(), K, dim, centAddr_);
+            stageAdmit(dev, K, [](size_t) { return true; },
+                       centAddr_ + dim * l * 2);
         }
+        cisram_assert(ivf_ == &cl, "a retriever probes one clustering");
+        for (uint32_t list : lists)
+            list_addr[list] = residentSegment(lists_, list, corpus_seed);
+        adm_addr = admitPlanes(lists_, lists, filter, corpus_seed);
     }
 
     core.stats().reset();
@@ -772,7 +775,8 @@ RagRetriever::retrieveIvfBatch(
     // through L3/L4 and streams as dim K-wide planes: one mini
     // supertile scoring lists instead of chunks, reusing the exact
     // MAC/bias/extract machinery of the main loop.
-    scoreSupertile(g, queries, all, cent_addr, cval_addr, K);
+    scoreSupertile(g, queries, all, centAddr_, centAddr_ + dim * l * 2,
+                   K);
     {
         double before = core.stats().cycles();
         for (size_t q2 = 0; q2 < batch; ++q2) {
@@ -804,7 +808,7 @@ RagRetriever::retrieveIvfBatch(
         for (size_t st = 0; st < divCeil(lsz, l); ++st, ++gst) {
             size_t valid = fnl ? std::min(l, lsz - st * l) : l;
             scoreSupertile(g, queries, qset,
-                           emb_addr + gst * dim * l * 2,
+                           list_addr[list] + st * dim * l * 2,
                            adm_addr + gst * l * 2, valid);
 
             double before = core.stats().cycles();
@@ -848,12 +852,8 @@ RagRetriever::retrieveIvfBatch(
             r.hits = mergeHits(std::move(candidates[q2]), topK);
         publishTopkIds(r, q2);
     }
-    if (fnl) {
-        dev.allocator().free(cent_addr);
-        dev.allocator().free(cval_addr);
-        dev.allocator().free(emb_addr);
+    if (fnl)
         dev.allocator().free(adm_addr);
-    }
     Status ecc = hbm.takeFaultStatus();
     if (!ecc.ok())
         for (auto &r : results)
@@ -1048,7 +1048,7 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
     uint64_t emb_addr = 0, q_addr = 0;
     bool fnl = core.functional();
     if (fnl) {
-        emb_addr = stagedPlanes(corpus_seed);
+        emb_addr = residentSegment(shard_, 0, corpus_seed);
         q_addr = dev.allocator().alloc(l * 2, 512);
         std::vector<uint16_t> qv(l, 0);
         for (size_t d = 0; d < dim; ++d)

@@ -107,9 +107,10 @@ struct RagBatchOptions
     /**
      * Coarse quantizer backing search.nprobe > 0. Host-built once
      * per corpus (baseline::IvfClustering::build) and resident
-     * across batches; its centroid table stages into L3/L4 for the
-     * device's coarse pass. Null forces the exhaustive path
-     * regardless of nprobe.
+     * across batches; a retriever serves one clustering, staging its
+     * centroid table once and each inverted list the first time a
+     * batch probes it. Null forces the exhaustive path regardless of
+     * nprobe.
      */
     const baseline::IvfClustering *ivf = nullptr;
 };
@@ -232,9 +233,15 @@ class RagRetriever
 
     const baseline::RagCorpusSpec &corpus() const { return corpus_; }
 
-  private:
-    struct StageCycles;
+    /**
+     * Rows generated and staged into resident planes over this
+     * retriever's lifetime (functional mode): each chunk of the
+     * exhaustive shard and of each probed inverted list counts
+     * once, when first staged.
+     */
+    uint64_t stagedRows() const { return stagedRows_; }
 
+  private:
     RagRunResult retrieveSpatial(const std::vector<int16_t> &query,
                                  bool coalesce, bool bf_query,
                                  uint64_t corpus_seed);
@@ -257,13 +264,44 @@ class RagRetriever
     void publishTopkIds(RagRunResult &res, size_t slot);
 
     /**
-     * Address of the corpus's dimension-major embedding planes in L4
-     * (functional mode), staged on first use and kept until this
-     * retriever is destroyed — for a DeviceServer, one corpus epoch
-     * or one core reset. A different `corpus_seed` re-stages them in
+     * Dimension-major planes resident in L4 (functional mode) for a
+     * chunk permutation split into segments. Segment s covers
+     * permutation positions [ext[s], ext[s+1]) (null perm = identity
+     * order) as a run of ragged supertiles from supertile first[s];
+     * each supertile keeps room for dim full planes. One block holds
+     * every segment, allocated on first use. A segment is generated
+     * and staged the first time a batch scores it and stays until
+     * the retriever is destroyed — for a DeviceServer, one corpus
+     * epoch or one core reset. A different corpus seed re-stages in
      * place.
      */
-    uint64_t stagedPlanes(uint64_t corpus_seed);
+    struct ResidentPlanes
+    {
+        const uint32_t *perm = nullptr;
+        std::vector<uint64_t> ext;
+        std::vector<size_t> first;
+        std::vector<bool> staged;
+        uint64_t addr = 0;
+        uint64_t seed = 0;
+
+        /** Spec-local chunk id at permutation position `p`. */
+        uint64_t local(uint64_t p) const { return perm ? perm[p] : p; }
+    };
+
+    /** Address of segment `s` of `rp`, staged on first use. */
+    uint64_t residentSegment(ResidentPlanes &rp, size_t s,
+                             uint64_t corpus_seed);
+
+    /**
+     * Stage this batch's admit planes for segments `segs` of `rp`
+     * (laid out by residentSegment), one per supertile in order,
+     * into a block the caller frees: lane validity AND epoch
+     * liveness (tombstoned chunks keep their staged position but
+     * never match) AND the metadata predicate `filter`.
+     */
+    uint64_t admitPlanes(const ResidentPlanes &rp,
+                         const std::vector<uint32_t> &segs,
+                         uint16_t filter, uint64_t corpus_seed);
 
     apu::ApuDevice &dev;
     dram::DramSystem &hbm;
@@ -271,9 +309,13 @@ class RagRetriever
     size_t topK;
     unsigned coreIdx_;
     uint64_t idsAddr_; ///< 8 batch slots of topK u32 ids each
-    bool staged_ = false;
-    uint64_t stagedAddr_ = 0;
-    uint64_t stagedSeed_ = 0;
+    ResidentPlanes shard_; ///< the exhaustive scan: one segment
+    ResidentPlanes lists_; ///< IVF: one segment per inverted list
+    /** The clustering lists_ follows (its order() is lists_.perm);
+     * set by the first functional IVF batch. */
+    const baseline::IvfClustering *ivf_ = nullptr;
+    uint64_t centAddr_ = 0; ///< centroid planes + validity plane
+    uint64_t stagedRows_ = 0;
 };
 
 } // namespace cisram::kernels

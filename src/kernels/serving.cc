@@ -158,21 +158,39 @@ BatchFormer::takeBatch()
 // DeviceServer
 
 Status
-validateFunctionalShard(const apu::ApuSpec &spec,
-                        const RagCorpusSpec &shard)
+validateIvfLists(const apu::ApuSpec &spec, size_t ivf_lists)
 {
+    if (ivf_lists > spec.vrLength)
+        return Status::invalidArgument(detail::concat(
+            "IVF centroid table of ", ivf_lists, " lists exceeds one ",
+            spec.vrLength, "-lane VR (the coarse pass scores it as "
+            "one)"));
+    return Status::okStatus();
+}
+
+Status
+validateFunctionalShard(const apu::ApuSpec &spec,
+                        const RagCorpusSpec &shard, size_t ivf_lists)
+{
+    Status lists = validateIvfLists(spec, ivf_lists);
+    if (!lists.ok())
+        return lists;
     constexpr size_t kMaxChunks = size_t(1) << 21;
     if (shard.numChunks > kMaxChunks)
         return Status::invalidArgument(detail::concat(
             "functional shard of ", shard.numChunks,
             " chunks exceeds the ", kMaxChunks,
             "-chunk functional corpus limit"));
-    uint64_t staged = divCeil(shard.numChunks, spec.vrLength) *
-        shard.dim * spec.vrBytes();
+    uint64_t supertiles = divCeil(shard.numChunks, spec.vrLength);
+    uint64_t vectors = supertiles * shard.dim;
+    if (ivf_lists > 0)
+        vectors += (supertiles + ivf_lists) * shard.dim + shard.dim + 1;
+    uint64_t staged = vectors * spec.vrBytes();
     uint64_t share = spec.l4Bytes / spec.numCores;
     if (staged > share)
         return Status::invalidArgument(detail::concat(
             "functional shard of ", shard.numChunks, " x ", shard.dim,
+            ivf_lists > 0 ? " and its IVF lists" : "",
             " keeps ", staged, " bytes of planes staged, over its "
             "core's L4 share of ", share, " bytes"));
     return Status::okStatus();
@@ -194,21 +212,23 @@ DeviceServer::DeviceServer(apu::ApuDevice &dev, RagCorpusSpec spec,
       health_(core, cfg.health, cfg.deviceIndex),
       flight_(core, cfg.flight)
 {
-    if (dev.core(core).functional()) {
-        Status st = validateFunctionalShard(dev.spec(), spec_);
-        cisram_assert(st.ok(), "DeviceServer: ", st.message());
-    }
+    size_t lists = cfg_.ivf.enabled ? cfg_.ivf.build.numLists : 0;
+    Status st = dev.core(core).functional()
+        ? validateFunctionalShard(dev.spec(), spec_, lists)
+        : validateIvfLists(dev.spec(), lists);
+    cisram_assert(st.ok(), "DeviceServer: ", st.message());
     host_.setCoreHint(static_cast<int>(core));
     host_.setDeviceHint(cfg.deviceIndex);
     hbm_.setScrubConfig(cfg.scrub);
     hbm_.setDeviceIndex(cfg.deviceIndex);
     if (cfg_.ivf.enabled) {
-        // Host state: trained once per shard, survives core resets
-        // (only the device-side centroid staging is re-paid, inside
-        // retrieveIvfBatch).
+        // Host state: trained once per shard (from the golden's rows
+        // when there is one), survives core resets. The retriever
+        // stages the lists and centroids on device as batches probe
+        // them, once per retriever lifetime.
         clustering_ = std::make_unique<baseline::IvfClustering>(
             baseline::IvfClustering::build(spec_, corpusSeed_,
-                                           cfg_.ivf.build));
+                                           cfg_.ivf.build, golden_));
         if (golden_)
             goldenIvf_ = std::make_unique<baseline::IndexIvfI16>(
                 *golden_, *clustering_, spec_, corpusSeed_);

@@ -409,9 +409,10 @@ struct ServerConfig
     /**
      * IVF-lite serving (DESIGN.md section 11). When enabled the
      * server trains a coarse quantizer over its corpus shard at
-     * construction (host-side; it survives core resets — the
-     * clustering is host state, only the centroid staging is
-     * re-paid) and honours per-query `nprobe`/`filterMask` params.
+     * construction (host-side, from the golden's rows when it has
+     * one; it survives core resets — the clustering is host state,
+     * only the device-side list and centroid staging is re-paid)
+     * and honours per-query `nprobe`/`filterMask` params.
      * Disabled (default): params with nprobe > 0 are a
      * configuration error.
      */
@@ -423,17 +424,29 @@ struct ServerConfig
 };
 
 /**
+ * Config-time check that a coarse quantizer of `ivf_lists` inverted
+ * lists (0 = no IVF) fits the device's coarse pass, which scores the
+ * whole centroid table as one VR: InvalidArgument when ivf_lists
+ * exceeds vrLength. DeviceServer applies it in every execution mode.
+ */
+Status validateIvfLists(const apu::ApuSpec &spec, size_t ivf_lists);
+
+/**
  * Config-time check that `shard` can be served functionally on one
- * core of a device built from `spec`: InvalidArgument when it holds
- * more than the 2^21-chunk functional corpus limit, or when the
- * embedding planes a functional retriever keeps staged for it
- * (supertiles x dim vectors, resident in L4 for the retriever's
- * lifetime) exceed the core's share of L4 (l4Bytes / numCores).
+ * core of a device built from `spec`, with `ivf_lists` inverted lists
+ * (0 = no IVF): validateIvfLists, then InvalidArgument when the shard
+ * holds more than the 2^21-chunk functional corpus limit, or when the
+ * planes a functional retriever keeps resident in L4 for its lifetime
+ * exceed the core's share of L4 (l4Bytes / numCores). Those are the
+ * exhaustive scan's supertiles x dim vectors and, with IVF, the
+ * inverted lists' ragged supertiles (at most ceil(chunks / l) +
+ * ivf_lists of them) x dim vectors plus the centroid table's dim + 1.
  * DeviceServer applies it to every functional shard it builds, so
  * fleet and server construction refuse such a shard.
  */
 Status validateFunctionalShard(const apu::ApuSpec &spec,
-                               const baseline::RagCorpusSpec &shard);
+                               const baseline::RagCorpusSpec &shard,
+                               size_t ivf_lists = 0);
 
 /**
  * One core's serving shard: admission queue, batch former, retriever,
@@ -584,6 +597,9 @@ class DeviceServer
     {
         return clustering_.get();
     }
+
+    /** The current retriever (rebuilt by every reset or mutation). */
+    const RagRetriever &retriever() const { return *retriever_; }
 
     /** This core's health watchdog (ladder state, transitions). */
     const recovery::HealthMonitor &health() const { return health_; }

@@ -23,6 +23,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <set>
 
 #include "baseline/faisslite.hh"
 #include "baseline/ivf.hh"
@@ -215,6 +217,38 @@ TEST(IvfClusteringTest, AssignmentsPinnedOnFixedSpecs)
     }
 }
 
+TEST(IvfClusteringTest, BuildFromRowsMatchesBuildFromHash)
+{
+    // Training from a materialized corpus (a shard's golden flat
+    // index) reads the same rows the hash would generate, so the
+    // clustering is identical: centroids, list extents and order.
+    struct Case
+    {
+        RagCorpusSpec spec;
+        uint64_t seed;
+        IvfBuildConfig cfg;
+    };
+    const Case cases[] = {
+        {RagCorpusSpec{"rows-clustered", 0, 5000, 368, 0, 6}, kSeed,
+         IvfBuildConfig{16, 2048, 4}},
+        {RagCorpusSpec{"rows-iid", 0, 3000, 368, 0, 0}, kSeed,
+         IvfBuildConfig{8, 1024, 3}},
+        {RagCorpusSpec{"rows-slice", 0, 2500, 96, 1000, 5}, 99,
+         IvfBuildConfig{12, 700, 5}},
+        {RagCorpusSpec{"rows-tiny", 0, 7, 368, 300, 3}, 5,
+         IvfBuildConfig{16, 64, 2}}, // K clamps to the chunk count
+    };
+    for (const Case &c : cases) {
+        auto flat = buildFlat(c.spec, c.seed);
+        auto hashed = IvfClustering::build(c.spec, c.seed, c.cfg);
+        auto shared = IvfClustering::build(c.spec, c.seed, c.cfg, &flat);
+        EXPECT_EQ(shared.centroids(), hashed.centroids()) << c.spec.label;
+        EXPECT_EQ(shared.listOffsets(), hashed.listOffsets())
+            << c.spec.label;
+        EXPECT_EQ(shared.order(), hashed.order()) << c.spec.label;
+    }
+}
+
 // ---- CPU golden: nprobe = K identity, filter semantics -----------------
 
 TEST(IvfGoldenTest, NprobeEqualsListsMatchesExhaustive)
@@ -222,7 +256,7 @@ TEST(IvfGoldenTest, NprobeEqualsListsMatchesExhaustive)
     auto spec = clusteredSpec("ivf-identity", 4000, 6);
     auto flat = buildFlat(spec, kSeed);
     auto cl = IvfClustering::build(spec, kSeed,
-                                   IvfBuildConfig{16, 2048, 4});
+                                   IvfBuildConfig{16, 2048, 4}, &flat);
     IndexIvfI16 ivf(flat, cl, spec, kSeed);
 
     for (int qi = 0; qi < 4; ++qi) {
@@ -286,7 +320,7 @@ TEST(IvfDeviceTest, NprobeKFourWayBitCompare)
     auto spec = clusteredSpec("ivf-4way", 5000, 6);
     auto flat = buildFlat(spec, kSeed);
     auto cl = IvfClustering::build(spec, kSeed,
-                                   IvfBuildConfig{4, 2048, 4});
+                                   IvfBuildConfig{4, 2048, 4}, &flat);
     IndexIvfI16 ivf(flat, cl, spec, kSeed);
 
     std::vector<std::vector<int16_t>> queries;
@@ -332,7 +366,7 @@ TEST(IvfDeviceTest, ProbeRestrictedMatchesGoldenIvf)
     auto spec = clusteredSpec("ivf-probe2", 5000, 6);
     auto flat = buildFlat(spec, kSeed);
     auto cl = IvfClustering::build(spec, kSeed,
-                                   IvfBuildConfig{6, 2048, 4});
+                                   IvfBuildConfig{6, 2048, 4}, &flat);
     IndexIvfI16 ivf(flat, cl, spec, kSeed);
 
     std::vector<std::vector<int16_t>> queries;
@@ -426,7 +460,7 @@ TEST(IvfTieTest, AllEqualScoresPinLowestIdsEverywhere)
     auto spec = clusteredSpec("ivf-ties", 40000, 4);
     auto flat = buildFlat(spec, kSeed);
     auto cl = IvfClustering::build(spec, kSeed,
-                                   IvfBuildConfig{4, 2048, 3});
+                                   IvfBuildConfig{4, 2048, 3}, &flat);
     IndexIvfI16 ivf(flat, cl, spec, kSeed);
 
     std::vector<int16_t> zero(spec.dim, 0);
@@ -539,6 +573,202 @@ TEST(IvfOverlapTest, HiddenNeverExceedsEitherOverlappedStage)
     // exhaustive one (the whole point of the coarse quantizer).
     auto two = timedRun(RagSearchParams{2, kFilterAll}, &cl);
     EXPECT_LT(two.dramBytes, ex.dramBytes);
+}
+
+// ---- resident inverted lists --------------------------------------------
+
+TEST(IvfResidentTest, OneBatchStagesOnlyItsProbedListsAndEachOnce)
+{
+    // A list is generated and staged the first time a batch probes
+    // it and never again in the retriever's lifetime; the lists and
+    // the centroid table live in two blocks allocated once.
+    auto spec = clusteredSpec("ivf-lazy", 3000, 6);
+    auto flat = buildFlat(spec, kSeed);
+    auto cl = IvfClustering::build(spec, kSeed,
+                                   IvfBuildConfig{6, 1024, 3}, &flat);
+    IndexIvfI16 ivf(flat, cl, spec, kSeed);
+
+    apu::ApuDevice dev;
+    dram::DramSystem hbm(dram::hbm2eConfig());
+    RagRetriever retriever(dev, hbm, spec, 5);
+    const size_t footprint = dev.allocator().liveCount();
+    std::set<uint32_t> probed;
+    auto batch = [&](RagSearchParams p, std::vector<size_t> topics) {
+        std::vector<std::vector<int16_t>> qs;
+        for (size_t t : topics)
+            qs.push_back(genQueryForTopic(spec, t, 1300 + t, kSeed));
+        RagBatchOptions opts;
+        opts.search = p;
+        opts.ivf = &cl;
+        auto rs = retriever.retrieveBatch(qs, kSeed, opts);
+        uint64_t rows = 0;
+        for (size_t q = 0; q < qs.size(); ++q) {
+            for (uint32_t j : cl.selectProbes(qs[q].data(), p.nprobe))
+                probed.insert(j);
+            expectSameHits(rs[q].hits,
+                           ivf.search(qs[q].data(), 5, p.nprobe,
+                                      p.filterMask),
+                           "resident lists vs IVF golden");
+        }
+        for (uint32_t j : probed)
+            rows += cl.listSize(j);
+        EXPECT_EQ(retriever.stagedRows(), rows);
+        EXPECT_EQ(dev.allocator().liveCount(), footprint + 2);
+    };
+
+    batch(RagSearchParams{1, kFilterAll}, {0});
+    EXPECT_LT(retriever.stagedRows(), spec.numChunks);
+    batch(RagSearchParams{2, 0x0013}, {0, 3});
+    batch(RagSearchParams{cl.numLists(), kFilterAll}, {1, 2, 5});
+    EXPECT_EQ(retriever.stagedRows(), spec.numChunks);
+    batch(RagSearchParams{cl.numLists(), 0x0029}, {4});
+    batch(RagSearchParams{1, kFilterAll}, {0});
+    EXPECT_EQ(retriever.stagedRows(), spec.numChunks);
+}
+
+TEST(IvfResidentTest, MultiSupertileListStaysExactAcrossBatches)
+{
+    // One list of 33768 chunks: a segment of two ragged supertiles,
+    // staged once and re-scored with a fresh admit plane per batch.
+    auto spec = clusteredSpec("ivf-long", 33768, 3);
+    auto flat = buildFlat(spec, kSeed);
+    auto cl = IvfClustering::build(spec, kSeed,
+                                   IvfBuildConfig{1, 1024, 1}, &flat);
+    IndexIvfI16 ivf(flat, cl, spec, kSeed);
+    ASSERT_EQ(cl.listSize(0), spec.numChunks);
+
+    apu::ApuDevice dev;
+    dram::DramSystem hbm(dram::hbm2eConfig());
+    RagRetriever retriever(dev, hbm, spec, 5);
+    for (uint16_t mask : {kFilterAll, uint16_t(0x0021)}) {
+        std::vector<std::vector<int16_t>> qs{
+            genQueryForTopic(spec, 1, 1400 + mask, kSeed)};
+        RagBatchOptions opts;
+        opts.search = RagSearchParams{1, mask};
+        opts.ivf = &cl;
+        auto rs = retriever.retrieveBatch(qs, kSeed, opts);
+        expectSameHits(rs[0].hits,
+                       ivf.search(qs[0].data(), 5, 1, mask),
+                       "two-supertile list vs IVF golden");
+        EXPECT_EQ(retriever.stagedRows(), spec.numChunks);
+    }
+}
+
+TEST(IvfResidentTest, ResidentListsMatchPerBatchRebuild)
+{
+    // `resident` keeps its probed lists staged across batches (one
+    // staging per list per retriever lifetime); `rebuilt` tears its
+    // retriever down before every batch (a reset with nothing
+    // outstanding), so it stages the batch's lists afresh each time.
+    // Through seeded random batches (nprobe 1, 2 and K, filtered and
+    // not), a core reset and a quarantine kill with its escalated
+    // reset, both give the same hits, ids, stage latencies and
+    // CycleStats.
+    auto spec = clusteredSpec("ivf-resident", 3000, 5);
+    auto flat = buildFlat(spec, kSeed);
+
+    ServerConfig cfg;
+    cfg.topK = 5;
+    cfg.ivf.enabled = true;
+    cfg.ivf.build = IvfBuildConfig{4, 1024, 3};
+    cfg.health.enabled = true;
+    cfg.maxResets = 16;
+    apu::ApuDevice dev_r, dev_f;
+    DeviceServer resident(dev_r, spec, 0, &flat, kSeed, cfg);
+    DeviceServer rebuilt(dev_f, spec, 0, &flat, kSeed, cfg);
+    const IvfClustering &cl = *resident.clustering();
+    IndexIvfI16 ivf(flat, cl, spec, kSeed);
+    const size_t footprint = dev_r.allocator().liveCount();
+
+    std::mt19937_64 rng(20261019);
+    std::set<uint32_t> staged; // resident's lists since its last reset
+    auto rows = [&](const std::set<uint32_t> &lists) {
+        uint64_t n = 0;
+        for (uint32_t j : lists)
+            n += cl.listSize(j);
+        return n;
+    };
+    uint64_t next_id = 1;
+    size_t rounds = 0;
+    auto round = [&](bool kill) {
+        // Every six rounds cover nprobe 1, 2 and K, each unfiltered
+        // and under a random filter.
+        const size_t nprobes[] = {1, 2, cl.numLists()};
+        RagSearchParams search;
+        search.nprobe = nprobes[rounds % 3];
+        if (rounds++ % 6 >= 3)
+            search.filterMask = static_cast<uint16_t>(rng() & 0xff);
+        std::vector<std::vector<int16_t>> qs(1 + rng() % 8);
+        std::set<uint32_t> probed;
+        for (uint64_t q = 0; q < qs.size(); ++q) {
+            qs[q] = genQueryForTopic(spec, rng() % 5, 1500 + next_id + q,
+                                     kSeed);
+            for (uint32_t j : cl.selectProbes(qs[q].data(), search.nprobe))
+                probed.insert(j);
+            ASSERT_TRUE(resident.enqueue(next_id + q, qs[q], search).ok());
+        }
+        if (kill) {
+            resident.forceQuarantine();
+            staged.clear();
+        }
+        rebuilt.forceReset();
+        for (uint64_t q = 0; q < qs.size(); ++q)
+            ASSERT_TRUE(rebuilt.enqueue(next_id + q, qs[q], search).ok());
+        auto a = resident.drain();
+        auto b = rebuilt.drain();
+        ASSERT_EQ(a.size(), qs.size());
+        ASSERT_EQ(b.size(), qs.size());
+        auto by_id = [](const ServeOutcome &x, const ServeOutcome &y) {
+            return x.id < y.id;
+        };
+        std::sort(a.begin(), a.end(), by_id);
+        std::sort(b.begin(), b.end(), by_id);
+        for (size_t i = 0; i < a.size(); ++i) {
+            std::string at = "query " + std::to_string(a[i].id);
+            EXPECT_TRUE(a[i].ok && a[i].fromDevice) << at;
+            EXPECT_EQ(a[i].id, b[i].id) << at;
+            EXPECT_EQ(a[i].ids, b[i].ids) << at;
+            expectSameHits(a[i].run.hits, b[i].run.hits, at.c_str());
+            expectSameHits(a[i].run.hits,
+                           ivf.search(qs[i].data(), cfg.topK,
+                                      search.nprobe, search.filterMask),
+                           at.c_str());
+            const auto &x = a[i].run.stages;
+            const auto &y = b[i].run.stages;
+            EXPECT_EQ(x.loadEmbedding, y.loadEmbedding) << at;
+            EXPECT_EQ(x.loadQuery, y.loadQuery) << at;
+            EXPECT_EQ(x.calcDistance, y.calcDistance) << at;
+            EXPECT_EQ(x.topkAggregation, y.topkAggregation) << at;
+            EXPECT_EQ(x.returnTopk, y.returnTopk) << at;
+            EXPECT_EQ(x.overlapHidden, y.overlapHidden) << at;
+        }
+        const apu::CycleStats &sr = dev_r.core(0).stats();
+        const apu::CycleStats &sf = dev_f.core(0).stats();
+        EXPECT_EQ(sr.cycles(), sf.cycles());
+        EXPECT_EQ(sr.uops(), sf.uops());
+        EXPECT_EQ(sr.breakdown(), sf.breakdown());
+
+        // The list and centroid blocks are the two held beyond the
+        // server's construction footprint; each list is staged at
+        // most once per retriever, a one-batch retriever only its
+        // batch's lists.
+        EXPECT_EQ(dev_r.allocator().liveCount(), footprint + 2);
+        staged.insert(probed.begin(), probed.end());
+        EXPECT_EQ(resident.retriever().stagedRows(), rows(staged));
+        EXPECT_EQ(rebuilt.retriever().stagedRows(), rows(probed));
+        next_id += 100;
+    };
+
+    for (int r = 0; r < 4; ++r)
+        round(false);
+    resident.forceReset();
+    staged.clear();
+    for (int r = 0; r < 2; ++r)
+        round(false);
+    round(true);
+    for (int r = 0; r < 2; ++r)
+        round(false);
+    EXPECT_EQ(resident.resets(), 2u);
 }
 
 // ---- batching + serving -------------------------------------------------
@@ -661,6 +891,64 @@ TEST(IvfServingTest, NprobeWithoutClusteringDies)
                      1, std::vector<int16_t>(spec.dim, 0),
                      RagSearchParams{2, kFilterAll}),
                  "IVF");
+}
+
+TEST(IvfServingTest, ResidentListsOverTheCoreL4ShareAreRejected)
+{
+    // A 16 MiB-per-core device. 2048 x 128 stages one exhaustive
+    // supertile of 128 64 KiB planes (8 MiB); with 4 IVF lists add
+    // up to 1 + 4 list supertiles and the centroid table (56 MiB).
+    apu::ApuSpec small = apu::defaultSpec();
+    small.l4Bytes = 64ull << 20;
+    RagCorpusSpec spec{"ivf-share", 0, 2048, 128};
+    EXPECT_TRUE(validateFunctionalShard(small, spec).ok());
+    Status st = validateFunctionalShard(small, spec, 4);
+    EXPECT_EQ(st.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(st.message().find("L4 share"), std::string::npos)
+        << st.message();
+    apu::ApuSpec roomy = small;
+    roomy.l4Bytes = 256ull << 20;
+    EXPECT_TRUE(validateFunctionalShard(roomy, spec, 4).ok());
+
+    ServerConfig cfg;
+    cfg.ivf.enabled = true;
+    cfg.ivf.build = IvfBuildConfig{4, 512, 2};
+    EXPECT_DEATH(
+        {
+            apu::ApuDevice dev(small);
+            DeviceServer server(dev, spec, 0, nullptr, kSeed, cfg);
+        },
+        "L4 share");
+}
+
+TEST(IvfServingTest, CentroidTableOverOneVrIsRejected)
+{
+    // The coarse pass scores the whole centroid table as one VR, in
+    // every execution mode.
+    const apu::ApuSpec &spec = apu::defaultSpec();
+    size_t l = spec.vrLength;
+    EXPECT_TRUE(validateIvfLists(spec, l).ok());
+    Status st = validateIvfLists(spec, l + 1);
+    EXPECT_EQ(st.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(st.message().find("exceeds one"), std::string::npos)
+        << st.message();
+    auto tiny = clusteredSpec("ivf-wide-k", 512, 3);
+    EXPECT_EQ(validateFunctionalShard(spec, tiny, l + 1).code(),
+              StatusCode::InvalidArgument);
+
+    ServerConfig cfg;
+    cfg.ivf.enabled = true;
+    cfg.ivf.build = IvfBuildConfig{l + 1, 512, 2};
+    for (bool functional : {true, false})
+        EXPECT_DEATH(
+            {
+                apu::ApuDevice dev;
+                if (!functional)
+                    dev.core(0).setMode(apu::ExecMode::TimingOnly);
+                DeviceServer server(dev, tiny, 0, nullptr, kSeed, cfg);
+            },
+            "exceeds one")
+            << (functional ? "functional" : "timing-only");
 }
 
 TEST(IvfServingTest, ParamsSurviveJournalReplayAcrossReset)
