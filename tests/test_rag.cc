@@ -13,6 +13,9 @@
 #include "kernels/rag_model.hh"
 #include "common/gsifloat.hh"
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
 using namespace cisram;
 using namespace cisram::baseline;
@@ -355,4 +358,386 @@ TEST(RagGf16, FasterDistanceThanInt16)
     double gf_dist = r2.retrieveGf16(q, 1).stages.calcDistance;
     EXPECT_LT(gf_dist, int_dist);
     EXPECT_GT(gf_dist, int_dist * 0.5);
+}
+
+// ---- ledger pins ---------------------------------------------------------
+//
+// The exact ledger of every retrieval path: stage latencies, the core's
+// cycle total and the streamed bytes as hex floats, plus a digest of
+// every query's hits. The Table 8 gates tolerate 10%, so only these
+// catch a charge that moved by one cycle or a float sum that changed
+// order. A mismatching or missing row prints the observed row in the
+// table's own syntax.
+
+namespace {
+
+constexpr uint64_t kPinSeed = 4242;
+
+struct LedgerPin
+{
+    const char *name;
+    double loadEmbedding, loadQuery, calcDistance, topkAggregation,
+        returnTopk, overlapHidden;
+    double cycles;
+    double dramBytes;
+    uint64_t hitDigest; ///< FNV-1a over every query's (id, score bits)
+    size_t hits;        ///< hits over all queries
+};
+
+const std::vector<LedgerPin> kPins = {
+    {"ex.fn.b1",
+     0x1.0da6dca32e98cp-14, 0x1.5aefa0f3664fdp-14, 0x1.6ab6e946e72b6p-10,
+     0x1.77ace85e81485p-17, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.6c266p+19, 0x1.78388p+24, 0x2a7022d95cd644a4ull, 5},
+    {"ex.fn.b8",
+     0x1.0da6dca32e98cp-17, 0x1.6312b0171ab5p-17, 0x1.f0181a41e46acp-12,
+     0x1.77ace85e81485p-17, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.f0f69p+20, 0x1.78388p+21, 0x86ed8f7f3e64ab1full, 40},
+    {"ex.fn.b8.filter",
+     0x1.0e6268a52a40cp-17, 0x1.6312b0171ab5p-17, 0x1.f0181a41e46acp-12,
+     0x1.77ace85e81485p-17, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.f0f69p+20, 0x1.793e38p+21, 0x114cd46164db0fb8ull, 40},
+    {"ex.fn.b8.overlap",
+     0x1.0da6dca32e98cp-17, 0x1.6312b0171ab5p-17, 0x1.f0181a41e46acp-12,
+     0x1.77ace85e81485p-17, 0x1.d5c31593e5fb8p-17, 0x1.ecbae4ff03e8p-19,
+     0x1.f0f69p+20, 0x1.78388p+21, 0x86ed8f7f3e64ab1full, 40},
+    {"ex.fn.b8.epoch",
+     0x1.0e6268a52a40cp-17, 0x1.6312b0171ab5p-17, 0x1.f0181a41e46acp-12,
+     0x1.77ace85e81485p-17, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.f0f69p+20, 0x1.793e38p+21, 0xc31221ebe1e8e208ull, 40},
+    {"ex.fn.b3.epoch.filter.overlap",
+     0x1.697b5d883532p-16, 0x1.d1d60fdb591b7p-16, 0x1.69b59da89455cp-11,
+     0x1.77ace85e81485p-17, 0x1.d5c31593e5fb8p-17, 0x1.4a6ed0034f055p-17,
+     0x1.100bep+20, 0x1.f85a955555555p+22, 0xd5e53dc92b84c5b8ull, 15},
+    {"ex.t.b1",
+     0x1.47be6b889d813p-12, 0x1.5aefa0f3664fdp-14, 0x1.c563210c950edp-9,
+     0x1.d5982276219a6p-16, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.b579p+20, 0x1.c9a44p+26, 0xcbf29ce484222325ull, 0},
+    {"ex.t.b8",
+     0x1.47be6b889d813p-15, 0x1.6312b0171ab5p-17, 0x1.360eafc62bc8ep-10,
+     0x1.d5982276219a6p-16, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.2d993p+22, 0x1.c9a44p+23, 0xcbf29ce484222325ull, 0},
+    {"ex.t.b8.filter.overlap",
+     0x1.48a26a6f3f52fp-15, 0x1.6312b0171ab5p-17, 0x1.360eafc62bc8ep-10,
+     0x1.d5982276219a6p-16, 0x1.d5c31593e5fb8p-17, 0x1.ff42c7f54c9cp-16,
+     0x1.2d993p+22, 0x1.cae29cp+23, 0xcbf29ce484222325ull, 0},
+    {"ex.t.b8.epoch",
+     0x1.48a26a6f3f52fp-15, 0x1.6312b0171ab5p-17, 0x1.360eafc62bc8ep-10,
+     0x1.d5982276219a6p-16, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.2d993p+22, 0x1.cae29cp+23, 0xcbf29ce484222325ull, 0},
+    {"ivf.fn.p1",
+     0x1.7a1d1c0f1ecb6p-20, 0x1.6312b0171ab5p-17, 0x1.80701f44355b8p-11,
+     0x1.c4eaefe747e71p-18, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.755588p+21, 0x1.06358p+19, 0x69dd79e4446526e2ull, 40},
+    {"ivf.fn.p2.filter",
+     0x1.862608666a006p-20, 0x1.6312b0171ab5p-17, 0x1.dabd1ccde36fap-11,
+     0x1.7bb18d676d5dcp-17, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.cba9cp+21, 0x1.0e9f8p+19, 0x3b7ff3c78bd56a5cull, 40},
+    {"ivf.fn.pK.overlap",
+     0x1.851e9bafd7acep-20, 0x1.6312b0171ab5p-17, 0x1.b21475e9f83dp-10,
+     0x1.622005aeeb906p-15, 0x1.d5c31593e5fb8p-17, 0x1.669995de36p-23,
+     0x1.a49388p+22, 0x1.0de4p+19, 0x458065afba0752bcull, 40},
+    {"ivf.t.p1",
+     0x1.e29464df52b64p-16, 0x1.6312b0171ab5p-17, 0x1.cf1f48abd190cp-11,
+     0x1.86d11d9cfc833p-17, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.c10198p+21, 0x1.50ec28p+23, 0xcbf29ce484222325ull, 0},
+    {"ivf.t.p2.filter",
+     0x1.e3e417de1823ap-16, 0x1.6312b0171ab5p-17, 0x1.30a001a3d543p-10,
+     0x1.6df1d3a00348cp-16, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.2707e4p+22, 0x1.51d688p+23, 0xcbf29ce484222325ull, 0},
+    {"ivf.t.pK.overlap",
+     0x1.e29464df52b64p-16, 0x1.6312b0171ab5p-17, 0x1.741192d81202fp-10,
+     0x1.065ed8974a22dp-15, 0x1.d5c31593e5fb8p-17, 0x1.73826e5c5cacp-16,
+     0x1.682744p+22, 0x1.50ec28p+23, 0xcbf29ce484222325ull, 0},
+    {"one.fn.no-opt",
+     0x1.c21961f33187ep-17, 0x1.cac195f32d1ap-19, 0x1.08febd70f571cp-10,
+     0x1.75cbdf111d08dp-18, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.f8d1p+18, 0x1.388p+22, 0x5085c4e53859fc88ull, 5},
+    {"one.fn.opt1",
+     0x1.444adac1d51f3p-17, 0x1.b43526527a206p-19, 0x1.ee5a6ebf03134p-11,
+     0x1.73c879abe87bbp-18, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.d787cp+18, 0x1.c138p+21, 0x5085c4e53859fc88ull, 5},
+    {"one.fn.opt2",
+     0x1.c21961f33187ep-17, 0x1.cac195f32d1ap-19, 0x1.fb4aed16ccd3cp-11,
+     0x1.75cbdf111d08dp-18, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.e3ad8p+18, 0x1.388p+22, 0x5085c4e53859fc88ull, 5},
+    {"one.fn.opt3",
+     0x1.c21961f33187ep-17, 0x1.cac195f32d1ap-19, 0x1.08febd70f571cp-10,
+     0x1.75cbdf111d08dp-18, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.f8d1p+18, 0x1.388p+22, 0x5085c4e53859fc88ull, 5},
+    {"one.fn.all-opts",
+     0x1.444adac1d51f3p-17, 0x1.68914a25fa20ep-14, 0x1.69ff6f83bddc9p-11,
+     0x1.73c879abe87bbp-18, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.84a74p+18, 0x1.c138p+21, 0x5085c4e53859fc88ull, 5},
+    {"one.fn.gf16",
+     0x1.444adac1d51f3p-17, 0x1.5aefa0f3664fdp-14, 0x1.52e25016c3bbep-11,
+     0x1.73c879abe87bbp-18, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.6d8a4p+18, 0x1.c138p+21, 0x883c014ea4c0d291ull, 5},
+    {"one.t.no-opt",
+     0x1.c7fdcd43a37c1p-12, 0x1.cac195f32d1ap-19, 0x1.0cc6867b7382ap-5,
+     0x1.d0ba9816e29aap-16, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.f55262p+23, 0x1.3e5cp+27, 0xcbf29ce484222325ull, 0},
+    {"one.t.opt1",
+     0x1.47be6b889d813p-12, 0x1.b43526527a206p-19, 0x1.34f681d1fcb78p-8,
+     0x1.d0ba9816e29aap-16, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.227cd8p+21, 0x1.c9a44p+26, 0xcbf29ce484222325ull, 0},
+    {"one.t.opt2",
+     0x1.c7fdcd43a37c1p-12, 0x1.cac195f32d1ap-19, 0x1.015769af824a6p-5,
+     0x1.d0ba9816e29aap-16, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.e00636p+23, 0x1.3e5cp+27, 0xcbf29ce484222325ull, 0},
+    {"one.t.opt3",
+     0x1.c7fdcd43a37c1p-12, 0x1.cac195f32d1ap-19, 0x1.0cc6867b7382ap-5,
+     0x1.d0ba9816e29aap-16, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.f55262p+23, 0x1.3e5cp+27, 0xcbf29ce484222325ull, 0},
+    {"one.t.all-opts",
+     0x1.47be6b889d813p-12, 0x1.68914a25fa20ep-14, 0x1.c47b4499e2eaap-9,
+     0x1.d0ba9816e29aap-16, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.b4fd9p+20, 0x1.c9a44p+26, 0xcbf29ce484222325ull, 0},
+    {"one.t.gf16",
+     0x1.47be6b889d813p-12, 0x1.5aefa0f3664fdp-14, 0x1.a79ae41c74aadp-9,
+     0x1.d0ba9816e29aap-16, 0x1.d5c31593e5fb8p-17, 0x0p+0,
+     0x1.99b35p+20, 0x1.c9a44p+26, 0xcbf29ce484222325ull, 0},
+};
+
+std::string
+pinRow(const LedgerPin &p)
+{
+    char buf[512];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"%s\",\n     %a, %a, %a,\n     %a, %a, %a,\n"
+                  "     %a, %a, 0x%016llxull, %zu},",
+                  p.name, p.loadEmbedding, p.loadQuery, p.calcDistance,
+                  p.topkAggregation, p.returnTopk, p.overlapHidden,
+                  p.cycles, p.dramBytes,
+                  static_cast<unsigned long long>(p.hitDigest), p.hits);
+    return buf;
+}
+
+/** Compare one retrieval call's ledger against its pinned row. */
+void
+expectPinned(const char *name, const std::vector<RagRunResult> &rs,
+             apu::ApuDevice &dev)
+{
+    ASSERT_FALSE(rs.empty());
+    const auto &s = rs[0].stages;
+    LedgerPin got{name, s.loadEmbedding, s.loadQuery, s.calcDistance,
+                  s.topkAggregation, s.returnTopk, s.overlapHidden,
+                  dev.core(0).stats().cycles(), rs[0].dramBytes,
+                  0xcbf29ce484222325ull, 0};
+    auto mix = [&](uint64_t v) {
+        for (int i = 0; i < 8; ++i, v >>= 8)
+            got.hitDigest = (got.hitDigest ^ (v & 0xff)) *
+                0x100000001b3ull;
+    };
+    for (size_t q = 0; q < rs.size(); ++q) {
+        // The batch's stages fan out evenly: every query carries the
+        // same ledger.
+        const auto &t = rs[q].stages;
+        EXPECT_TRUE(t.loadEmbedding == s.loadEmbedding &&
+                    t.loadQuery == s.loadQuery &&
+                    t.calcDistance == s.calcDistance &&
+                    t.topkAggregation == s.topkAggregation &&
+                    t.returnTopk == s.returnTopk &&
+                    t.overlapHidden == s.overlapHidden &&
+                    rs[q].dramBytes == rs[0].dramBytes)
+            << name << " query " << q;
+        for (const Hit &h : rs[q].hits) {
+            uint32_t bits;
+            std::memcpy(&bits, &h.score, sizeof(bits));
+            mix(q);
+            mix(h.id);
+            mix(bits);
+            ++got.hits;
+        }
+    }
+    const LedgerPin *want = nullptr;
+    for (const LedgerPin &p : kPins)
+        if (std::strcmp(p.name, name) == 0)
+            want = &p;
+    ASSERT_NE(want, nullptr) << "unpinned ledger:\n" << pinRow(got);
+    EXPECT_TRUE(got.loadEmbedding == want->loadEmbedding &&
+                got.loadQuery == want->loadQuery &&
+                got.calcDistance == want->calcDistance &&
+                got.topkAggregation == want->topkAggregation &&
+                got.returnTopk == want->returnTopk &&
+                got.overlapHidden == want->overlapHidden &&
+                got.cycles == want->cycles &&
+                got.dramBytes == want->dramBytes &&
+                got.hitDigest == want->hitDigest &&
+                got.hits == want->hits)
+        << "ledger moved; observed:\n" << pinRow(got);
+}
+
+std::vector<std::vector<int16_t>>
+pinQueries(size_t b, size_t dim)
+{
+    std::vector<std::vector<int16_t>> qs;
+    for (size_t q = 0; q < b; ++q)
+        qs.push_back(genQuery(dim, 900 + q));
+    return qs;
+}
+
+/** One retrieveBatch call on a fresh device, checked against its pin. */
+void
+pinBatch(const char *name, const RagCorpusSpec &spec, bool timing,
+         const std::vector<std::vector<int16_t>> &queries,
+         RagBatchOptions opts = {})
+{
+    apu::ApuDevice dev;
+    if (timing)
+        dev.core(0).setMode(apu::ExecMode::TimingOnly);
+    dram::DramSystem hbm(dram::hbm2eConfig());
+    RagRetriever retriever(dev, hbm, spec, 5);
+    expectPinned(name, retriever.retrieveBatch(queries, kPinSeed, opts),
+                 dev);
+}
+
+/** An epoch overlay of `spec`: the last 300 chunks are inserts, and a
+ *  few base and inserted chunks are tombstoned. */
+CorpusEpochView
+pinEpoch(RagCorpusSpec &spec)
+{
+    CorpusEpochView view;
+    view.epoch = 3;
+    view.baseChunks = spec.numChunks - 300;
+    for (uint64_t i = 0; i < 300; ++i)
+        view.inserted.push_back(spec.numChunks + 1000 + 7 * i);
+    for (uint64_t id : {uint64_t(0), uint64_t(17), uint64_t(4099),
+                        view.baseChunks - 1, view.inserted[5]})
+        view.deleted.insert(id);
+    return view;
+}
+
+/** Two supertiles, the second ragged. */
+const RagCorpusSpec kPinExhaustive{"pin-ex", 0, 33500, 368};
+
+} // namespace
+
+TEST(RagLedgerPin, ExhaustiveFunctional)
+{
+    RagCorpusSpec spec = kPinExhaustive;
+    pinBatch("ex.fn.b1", spec, false, pinQueries(1, spec.dim));
+    pinBatch("ex.fn.b8", spec, false, pinQueries(8, spec.dim));
+
+    RagBatchOptions filtered;
+    filtered.search.filterMask = 0x00a5;
+    pinBatch("ex.fn.b8.filter", spec, false, pinQueries(8, spec.dim),
+             filtered);
+
+    RagBatchOptions overlap;
+    overlap.overlapStream = true;
+    pinBatch("ex.fn.b8.overlap", spec, false, pinQueries(8, spec.dim),
+             overlap);
+
+    CorpusEpochView view = pinEpoch(spec);
+    spec.epochView = &view;
+    pinBatch("ex.fn.b8.epoch", spec, false, pinQueries(8, spec.dim));
+    filtered.overlapStream = true;
+    pinBatch("ex.fn.b3.epoch.filter.overlap", spec, false,
+             pinQueries(3, spec.dim), filtered);
+}
+
+TEST(RagLedgerPin, ExhaustiveTimingOnly)
+{
+    RagCorpusSpec spec = ragCorpora()[0];
+    pinBatch("ex.t.b1", spec, true, pinQueries(1, spec.dim));
+    pinBatch("ex.t.b8", spec, true, pinQueries(8, spec.dim));
+
+    RagBatchOptions both;
+    both.search.filterMask = 0x00a5;
+    both.overlapStream = true;
+    pinBatch("ex.t.b8.filter.overlap", spec, true,
+             pinQueries(8, spec.dim), both);
+
+    CorpusEpochView view = pinEpoch(spec);
+    spec.epochView = &view;
+    pinBatch("ex.t.b8.epoch", spec, true, pinQueries(8, spec.dim));
+}
+
+namespace {
+
+std::vector<std::vector<int16_t>>
+topicQueries(const RagCorpusSpec &spec, size_t b)
+{
+    std::vector<std::vector<int16_t>> qs;
+    for (size_t q = 0; q < b; ++q)
+        qs.push_back(genQueryForTopic(spec, q % spec.topics, 700 + q,
+                                      kPinSeed));
+    return qs;
+}
+
+/** nprobe 1, 2 (filtered) and K (overlapped) on one retriever, so the
+ *  later batches reuse the lists the earlier ones staged. */
+void
+pinIvf(const char *prefix, const RagCorpusSpec &spec,
+       const IvfClustering &cl, bool timing)
+{
+    apu::ApuDevice dev;
+    if (timing)
+        dev.core(0).setMode(apu::ExecMode::TimingOnly);
+    dram::DramSystem hbm(dram::hbm2eConfig());
+    RagRetriever retriever(dev, hbm, spec, 5);
+    auto queries = topicQueries(spec, 8);
+    RagBatchOptions opts;
+    opts.ivf = &cl;
+    const size_t nprobes[] = {1, 2, cl.numLists()};
+    const char *names[] = {".p1", ".p2.filter", ".pK.overlap"};
+    for (size_t i = 0; i < 3; ++i) {
+        opts.search.nprobe = nprobes[i];
+        opts.search.filterMask = i == 1 ? 0x00a5 : kFilterAll;
+        opts.overlapStream = i == 2;
+        expectPinned(
+            (std::string(prefix) + names[i]).c_str(),
+            retriever.retrieveBatch(queries, kPinSeed, opts), dev);
+    }
+}
+
+} // namespace
+
+TEST(RagLedgerPin, IvfFunctional)
+{
+    RagCorpusSpec spec{"pin-ivf", 0, 6000, 368, 0, 6};
+    auto cl = IvfClustering::build(spec, kPinSeed,
+                                   IvfBuildConfig{8, 2048, 3});
+    pinIvf("ivf.fn", spec, cl, false);
+}
+
+TEST(RagLedgerPin, IvfTimingOnly)
+{
+    // Three lists over 120k chunks: some list spans more than one
+    // supertile, so a probed run iterates a ragged multi-supertile
+    // stream.
+    RagCorpusSpec spec{"pin-ivf-t", 0, 120000, 368, 0, 6};
+    auto cl = IvfClustering::build(spec, kPinSeed,
+                                   IvfBuildConfig{3, 2048, 3});
+    size_t long_lists = 0;
+    for (size_t j = 0; j < cl.numLists(); ++j)
+        long_lists += cl.listSize(j) > 32768;
+    ASSERT_GT(long_lists, 0u);
+    pinIvf("ivf.t", spec, cl, true);
+}
+
+TEST(RagLedgerPin, SingleQuery)
+{
+    RagCorpusSpec small{"pin-one", 0, 5000, 368};
+    for (bool timing : {false, true}) {
+        const RagCorpusSpec &spec = timing ? ragCorpora()[0] : small;
+        auto query = genQuery(spec.dim, 901);
+        std::string mode = timing ? "one.t." : "one.fn.";
+        auto run = [&](const std::string &name, auto call) {
+            apu::ApuDevice dev;
+            if (timing)
+                dev.core(0).setMode(apu::ExecMode::TimingOnly);
+            dram::DramSystem hbm(dram::hbm2eConfig());
+            RagRetriever retriever(dev, hbm, spec, 5);
+            expectPinned((mode + name).c_str(), {call(retriever)}, dev);
+        };
+        for (RagVariant v : allVariants)
+            run(ragVariantName(v), [&](RagRetriever &r) {
+                return r.retrieve(query, v, kPinSeed);
+            });
+        run("gf16", [&](RagRetriever &r) {
+            return r.retrieveGf16(query, kPinSeed);
+        });
+    }
 }
