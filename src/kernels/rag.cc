@@ -192,24 +192,6 @@ scoreSupertile(Gvml &g, const std::vector<std::vector<int16_t>> &queries,
     g.load16(vrAdmit, vmAdmit);
 }
 
-/** Stage timing helper: capture cycle deltas. */
-struct StageTimer
-{
-    explicit StageTimer(ApuCore &core) : core(core) {}
-
-    double
-    lap()
-    {
-        double now = core.stats().cycles();
-        double delta = now - last;
-        last = now;
-        return delta;
-    }
-
-    ApuCore &core;
-    double last = 0.0;
-};
-
 /** Merge per-VR candidates into the global top-k. */
 std::vector<Hit>
 mergeHits(std::vector<Hit> all, size_t k)
@@ -294,6 +276,68 @@ overlapHiddenSeconds(ApuDevice &dev, const apu::TimingParams &t,
 
 } // namespace
 
+/**
+ * One run of a supertile plan: `supertiles` consecutive supertiles
+ * of segment `seg` of `rp`, each charged `repeat` times, scored for
+ * the batch lanes `qs`. A TimingOnly exhaustive scan is one
+ * supertile repeated over the whole shard; every other run iterates
+ * its supertiles one by one.
+ */
+struct RagRetriever::Plan
+{
+    struct Run
+    {
+        ResidentPlanes *rp;
+        uint32_t seg;
+        size_t supertiles;
+        double repeat;
+        std::vector<size_t> qs;
+        uint64_t base = 0; ///< the segment's staged planes (functional)
+    };
+
+    std::vector<Run> runs;
+
+    /**
+     * The coarse centroid pass ahead of the runs: the clustering
+     * whose centroid table scores first, its probe count, and the
+     * CP's golden probe selection per query that the device must
+     * reproduce. Null for the exhaustive scan.
+     */
+    const baseline::IvfClustering *coarse = nullptr;
+    size_t nprobe = 0;
+    std::vector<std::vector<uint32_t>> probes;
+};
+
+/**
+ * One retrieval call's stage ledger: the whole call's embedding
+ * stream, query load, streamed bytes and top-k cycles, its per-query
+ * candidates, and a lap timer over the core's cycle count (which the
+ * caller resets before the first timed stage).
+ */
+struct RagRetriever::Ledger
+{
+    Ledger(ApuCore &core, size_t batch) : core(core), cands(batch) {}
+
+    /** Cycles charged since the previous lap. */
+    double
+    lap()
+    {
+        double now = core.stats().cycles();
+        double delta = now - last;
+        last = now;
+        return delta;
+    }
+
+    ApuCore &core;
+    double last = 0.0;
+    double loadEmb = 0.0;   ///< seconds
+    double loadQuery = 0.0; ///< seconds
+    double dramBytes = 0.0;
+    double topkCycles = 0.0;
+    size_t overlapSupertiles = 0; ///< overlapped stream depth; 0 = off
+    std::vector<std::vector<Hit>> cands;
+};
+
 RagRetriever::RagRetriever(ApuDevice &dev, dram::DramSystem &hbm,
                            RagCorpusSpec corpus, size_t top_k,
                            unsigned core_idx)
@@ -356,17 +400,18 @@ RagRetriever::residentSegment(ResidentPlanes &rp, size_t s,
 }
 
 uint64_t
-RagRetriever::admitPlanes(const ResidentPlanes &rp,
-                          const std::vector<uint32_t> &segs,
-                          uint16_t filter, uint64_t corpus_seed)
+RagRetriever::admitPlanes(const Plan &plan, uint16_t filter,
+                          uint64_t corpus_seed)
 {
     size_t l = dev.spec().vrLength;
     size_t supertiles = 0;
-    for (uint32_t s : segs)
-        supertiles += rp.first[s + 1] - rp.first[s];
+    for (const Plan::Run &run : plan.runs)
+        supertiles += run.rp->first[run.seg + 1] - run.rp->first[run.seg];
     uint64_t addr = dev.allocator().alloc(supertiles * l * 2, 512);
     uint64_t at = addr;
-    for (uint32_t s : segs) {
+    for (const Plan::Run &run : plan.runs) {
+        const ResidentPlanes &rp = *run.rp;
+        uint32_t s = run.seg;
         for (uint64_t p0 = rp.ext[s]; p0 < rp.ext[s + 1];
              p0 += l, at += l * 2) {
             auto admit = [&](size_t j) {
@@ -385,19 +430,58 @@ RagRetriever::admitPlanes(const ResidentPlanes &rp,
     return addr;
 }
 
-void
-RagRetriever::publishTopkIds(RagRunResult &res, size_t slot)
+std::vector<RagRunResult>
+RagRetriever::finish(Ledger &lg)
 {
-    res.topkIdsAddr =
-        idsAddr_ + slot * topK * sizeof(uint32_t);
-    res.topkIdsCount = res.hits.size();
-    if (res.hits.empty())
-        return;
-    std::vector<uint32_t> ids(res.hits.size());
-    for (size_t i = 0; i < res.hits.size(); ++i)
-        ids[i] = static_cast<uint32_t>(res.hits[i].id);
-    dev.l4().write(res.topkIdsAddr, ids.data(),
-                   ids.size() * sizeof(uint32_t));
+    size_t batch = lg.cands.size();
+    double b = static_cast<double>(batch);
+    double calc_total = lg.lap();
+    lg.core.chargeRaw(returnTopkCycles * b);
+    double return_total = dev.cyclesToSeconds(lg.lap());
+    double calc_s = dev.cyclesToSeconds(calc_total - lg.topkCycles);
+
+    // Overlapped corpus streaming: with both DMA engines active, the
+    // HBM stream for supertile st+1 lands in the spare L4 buffer
+    // while the VXU scores supertile st. The stage latencies keep
+    // their full (sequential) attribution; only overlapHidden — the
+    // portion of the stream the pipeline hides, provably bounded by
+    // both loadEmbedding and calcDistance (see overlapHiddenSeconds)
+    // — feeds back into total().
+    double hidden = overlapHiddenSeconds(dev, dev.timing(), lg.loadEmb,
+                                         calc_s, lg.overlapSupertiles);
+
+    std::vector<RagRunResult> results(batch);
+    for (size_t q = 0; q < batch; ++q) {
+        auto &r = results[q];
+        r.stages.loadEmbedding = lg.loadEmb / b;
+        r.stages.loadQuery = lg.loadQuery / b;
+        r.stages.calcDistance = calc_s / b;
+        r.stages.topkAggregation = dev.cyclesToSeconds(lg.topkCycles) / b;
+        r.stages.returnTopk = return_total / b;
+        r.stages.overlapHidden = hidden / b;
+        r.computeSeconds = r.stages.calcDistance;
+        r.dramBytes = lg.dramBytes / b;
+        r.cacheBytes = 2.0 * lg.dramBytes / b;
+        if (lg.core.functional())
+            r.hits = mergeHits(std::move(lg.cands[q]), topK);
+        // Stage the ids into the device id buffer (batch slot q).
+        r.topkIdsAddr = idsAddr_ + q * topK * sizeof(uint32_t);
+        r.topkIdsCount = r.hits.size();
+        if (r.hits.empty())
+            continue;
+        std::vector<uint32_t> ids(r.hits.size());
+        for (size_t i = 0; i < r.hits.size(); ++i)
+            ids[i] = static_cast<uint32_t>(r.hits[i].id);
+        dev.l4().write(r.topkIdsAddr, ids.data(),
+                       ids.size() * sizeof(uint32_t));
+    }
+    // One corpus pass serves the whole batch, so an uncorrectable
+    // ECC error taints every result in it.
+    Status ecc = hbm.takeFaultStatus();
+    if (!ecc.ok())
+        for (auto &r : results)
+            r.status = ecc;
+    return results;
 }
 
 RagRunResult
@@ -438,12 +522,11 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
     size_t supertiles = divCeil(chunks, l);
     bool fnl = core.functional();
 
-    RagRunResult res;
-    res.dramBytes = static_cast<double>(chunks) *
+    Ledger lg(core, 1);
+    lg.dramBytes = static_cast<double>(chunks) *
         static_cast<double>(dim) * 2.0;
-    res.cacheBytes = 2.0 * res.dramBytes;
-    res.stages.loadEmbedding = hbm.streamReadSeconds(
-        0, static_cast<uint64_t>(res.dramBytes));
+    lg.loadEmb = hbm.streamReadSeconds(
+        0, static_cast<uint64_t>(lg.dramBytes));
 
     // Dimension-major gf16 planes.
     uint64_t emb_addr = 0;
@@ -463,14 +546,10 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
     }
 
     core.stats().reset();
-    StageTimer timer(core);
-
     core.dmaL4ToL3(0, 0, dim * 2); // bf query layout in L3
-    res.stages.loadQuery = dev.cyclesToSeconds(timer.lap());
+    lg.loadQuery = dev.cyclesToSeconds(lg.lap());
 
     const Vr vrOrd{6}, vrS1{7}, vrS2{8};
-    std::vector<Hit> candidates;
-    double topk_cycles = 0.0;
     for (size_t st = 0; st < (fnl ? supertiles : size_t(1)); ++st) {
         double st_factor =
             fnl ? 1.0 : static_cast<double>(supertiles);
@@ -500,29 +579,60 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
             core.rspSet(vrOrd.idx, fnl ? mx.index : 0, 0);
             if (fnl && mx.index < valid) {
                 uint16_t bits = core.vr().lanes(vrAcc.idx).at(mx.index);
-                candidates.push_back(
+                lg.cands[0].push_back(
                     {GsiFloat16::fromBits(bits).toFloat(),
                      st * l + mx.index});
             }
         }
         core.chargeRaw(mergeCyclesPerVr);
-        topk_cycles += core.stats().cycles() - before;
+        lg.topkCycles += core.stats().cycles() - before;
     }
-    double calc_total = timer.lap();
-    res.stages.calcDistance =
-        dev.cyclesToSeconds(calc_total - topk_cycles);
-    res.stages.topkAggregation = dev.cyclesToSeconds(topk_cycles);
-    res.computeSeconds = res.stages.calcDistance;
-    core.chargeRaw(returnTopkCycles);
-    res.stages.returnTopk = dev.cyclesToSeconds(timer.lap());
-
-    if (fnl) {
-        res.hits = mergeHits(std::move(candidates), topK);
+    RagRunResult res = std::move(finish(lg)[0]);
+    if (fnl)
         dev.allocator().free(emb_addr);
-    }
-    publishTopkIds(res, 0);
-    res.status = hbm.takeFaultStatus();
     return res;
+}
+
+void
+RagRetriever::planIvf(Plan &plan,
+                      const std::vector<std::vector<int16_t>> &queries,
+                      const RagBatchOptions &opts)
+{
+    const baseline::IvfClustering &cl = *opts.ivf;
+    size_t K = cl.numLists();
+    cisram_assert(cl.dim() == corpus_.dim, "clustering dim mismatch");
+    cisram_assert(corpus_.epochView == nullptr,
+                  "IVF probing over an epoch-overlaid corpus is not "
+                  "supported");
+    cisram_assert(cl.numChunks() == corpus_.numChunks,
+                  "clustering built for a different corpus");
+    // Segment j of lists_ is list j of order(), ascending within the
+    // list, which keeps per-supertile tie extraction exact.
+    if (lists_.perm == nullptr) {
+        lists_.perm = cl.order().data();
+        lists_.ext = cl.listOffsets();
+    }
+    cisram_assert(lists_.perm == cl.order().data(),
+                  "a retriever probes one clustering");
+
+    // CP-side probe selection mirror of the golden index; the coarse
+    // pass reproduces it on the VXU.
+    plan.coarse = &cl;
+    plan.nprobe = std::min(opts.search.nprobe, K);
+    std::vector<std::vector<size_t>> byList(K);
+    for (size_t q = 0; q < queries.size(); ++q) {
+        plan.probes.push_back(
+            cl.selectProbes(queries[q].data(), plan.nprobe));
+        for (uint32_t list : plan.probes.back())
+            byList[list].push_back(q);
+    }
+    // The union of probed lists in ascending list order: each list
+    // streams once per batch and only its probing queries extract.
+    size_t l = dev.spec().vrLength;
+    for (uint32_t j = 0; j < K; ++j)
+        if (!byList[j].empty())
+            plan.runs.push_back({&lists_, j, divCeil(cl.listSize(j), l),
+                                 1.0, std::move(byList[j])});
 }
 
 std::vector<RagRunResult>
@@ -537,327 +647,151 @@ RagRetriever::retrieveBatch(
     for (const auto &q : queries)
         cisram_assert(q.size() == corpus_.dim, "query dim mismatch");
 
-    if (opts.ivf != nullptr && opts.search.nprobe > 0)
-        return retrieveIvfBatch(queries, corpus_seed, opts);
-
     ApuCore &core = dev.core(coreIdx_);
     Gvml g(core);
-    const auto &t = dev.timing();
     size_t l = dev.spec().vrLength;
     size_t dim = corpus_.dim;
-    size_t chunks = corpus_.numChunks;
-    size_t supertiles = divCeil(chunks, l);
     bool fnl = core.functional();
     uint16_t filter = opts.search.filterMask;
     bool filtered = filter != baseline::kFilterAll;
     bool mutated = corpus_.epochView != nullptr;
     if (mutated) {
-        cisram_assert(chunks == corpus_.epochView->baseChunks +
-                                    corpus_.epochView->inserted.size(),
+        cisram_assert(corpus_.numChunks ==
+                          corpus_.epochView->baseChunks +
+                              corpus_.epochView->inserted.size(),
                       "epoch view / spec chunk count mismatch");
     }
 
-    std::vector<RagRunResult> results(batch);
-    // The predicate bitmask plane (one u16 mark per chunk) streams
-    // alongside the corpus when a filter is armed: 1/dim of the
-    // embedding bytes — the "nearly free" part of filtered search.
-    // An epoch-overlaid corpus streams a tombstone plane of the same
-    // shape, so masking deletes costs the same near-nothing.
-    double shared_dram = static_cast<double>(chunks) *
-        (static_cast<double>(dim) + (filtered ? 1.0 : 0.0) +
-         (mutated ? 1.0 : 0.0)) * 2.0;
+    // The plan: the IVF planner's probed lists, or one run over the
+    // whole shard (TimingOnly charges one supertile for all of them).
+    Plan plan;
+    std::vector<size_t> all(batch);
+    for (size_t q = 0; q < batch; ++q)
+        all[q] = q;
+    if (opts.ivf != nullptr && opts.search.nprobe > 0) {
+        planIvf(plan, queries, opts);
+    } else {
+        size_t n = divCeil(corpus_.numChunks, l);
+        plan.runs.push_back({&shard_, 0, fnl ? n : 1,
+                             fnl ? 1.0 : static_cast<double>(n), all});
+    }
 
-    // One pass over the corpus serves the whole batch.
-    double load_emb = hbm.streamReadSeconds(
-        0, static_cast<uint64_t>(shared_dram));
+    // Stream budget: the centroid table, then each streamed chunk's
+    // embedding plus, when armed, its predicate plane and its epoch
+    // tombstone plane — 1/dim of the embedding bytes each, the
+    // "nearly free" part of filtered search. One pass serves the
+    // whole batch; against the exhaustive budget, the probed one
+    // gives the scan reduction bench_ivf_recall reports.
+    Ledger lg(core, batch);
+    uint64_t chunks = 0;
+    for (const Plan::Run &run : plan.runs) {
+        chunks += run.rp->ext[run.seg + 1] - run.rp->ext[run.seg];
+        if (opts.overlapStream)
+            lg.overlapSupertiles +=
+                static_cast<size_t>(run.supertiles * run.repeat);
+    }
+    size_t K = plan.coarse ? plan.coarse->numLists() : 0;
+    lg.dramBytes = (static_cast<double>(K) * dim +
+                    static_cast<double>(chunks) *
+                        (static_cast<double>(dim) +
+                         (filtered ? 1.0 : 0.0) + (mutated ? 1.0 : 0.0))) *
+        2.0;
+    lg.loadEmb = hbm.streamReadSeconds(
+        0, static_cast<uint64_t>(lg.dramBytes));
 
-    // The embedding planes stay staged for the retriever's lifetime;
-    // only the admit planes depend on the batch and are rebuilt.
-    uint64_t emb_addr = 0, adm_addr = 0;
+    // Functional staging: the centroid planes (+ a lane-validity
+    // plane for the coarse pass) once per retriever, each run's
+    // segment the first time a batch streams it, and this batch's
+    // admit planes, one per supertile in run order.
+    uint64_t adm_addr = 0;
     if (fnl) {
-        emb_addr = residentSegment(shard_, 0, corpus_seed);
-        adm_addr = admitPlanes(shard_, {0}, filter, corpus_seed);
+        if (plan.coarse && !ivf_) {
+            ivf_ = plan.coarse;
+            centAddr_ = dev.allocator().alloc((dim + 1) * l * 2, 512);
+            stageRows(dev, ivf_->centroids().data(), K, dim, centAddr_);
+            stageAdmit(dev, K, [](size_t) { return true; },
+                       centAddr_ + dim * l * 2);
+        }
+        for (Plan::Run &run : plan.runs)
+            run.base = residentSegment(*run.rp, run.seg, corpus_seed);
+        adm_addr = admitPlanes(plan, filter, corpus_seed);
     }
 
     core.stats().reset();
-    StageTimer timer(core);
 
     // Queries staged into the CP's L3 (broadcast-friendly layout).
     core.dmaL4ToL3(0, 0, batch * dim * 2);
-    double load_query = dev.cyclesToSeconds(timer.lap());
+    lg.loadQuery = dev.cyclesToSeconds(lg.lap());
 
     // The bias constant prepares the score transform, not the query
     // transfer: it charges to calc-distance (the next lap), keeping
     // load-query a pure measure of staging the query vectors.
     g.cpyImm16(vrBias, 0x8000);
 
-    std::vector<std::vector<Hit>> candidates(batch);
-    std::vector<size_t> all(batch);
-    for (size_t q2 = 0; q2 < batch; ++q2)
-        all[q2] = q2;
-    double topk_cycles = 0.0;
-    for (size_t st = 0; st < (fnl ? supertiles : size_t(1)); ++st) {
-        double st_factor =
-            fnl ? 1.0 : static_cast<double>(supertiles);
-        ScopedRepeat strep(core.stats(), st_factor);
-
-        size_t valid = fnl ? std::min(l, chunks - st * l) : l;
-        scoreSupertile(g, queries, all, emb_addr + st * dim * l * 2,
-                       adm_addr + st * l * 2, valid);
-
-        // AND the admit plane (validity + metadata predicate) into
-        // the match mask: one negated-mask select per score VR
-        // writes the masked-out sentinel (biased 0x0000, a dot of
-        // -32768 no int16 embedding can produce) into excluded
-        // lanes, which extractTopK already skips.
+    // The coarse centroid pass: the centroid table (K x dim int16,
+    // ~46 KiB at K = 64) streams as dim K-wide planes, one mini
+    // supertile scoring lists instead of chunks, and each query
+    // extracts its nprobe best lists under one CP merge per batch.
+    // In functional mode the device's probes must equal the golden
+    // selection, which is what makes the device-vs-golden
+    // bit-compare meaningful.
+    if (plan.coarse) {
+        scoreSupertile(g, queries, all, centAddr_,
+                       centAddr_ + dim * l * 2, K);
         double before = core.stats().cycles();
-        for (size_t q2 = 0; q2 < batch; ++q2) {
-            g.xor16(accVr(q2), accVr(q2), vrBias);
-            g.cpyImm16Nmsk(accVr(q2), 0x0000, vrAdmit);
-            auto part = extractTopK(g, core, accVr(q2), topK, valid);
-            for (auto &h : part)
-                h.id += st * l;
-            candidates[q2].insert(candidates[q2].end(),
-                                  part.begin(), part.end());
-        }
-        topk_cycles += core.stats().cycles() - before;
-    }
-    double calc_total = timer.lap();
-    core.chargeRaw(returnTopkCycles * static_cast<double>(batch));
-    double return_total = dev.cyclesToSeconds(timer.lap());
-    double calc_s = dev.cyclesToSeconds(calc_total - topk_cycles);
-
-    // Overlapped corpus streaming: with both DMA engines active, the
-    // HBM stream for supertile st+1 lands in the spare L4 buffer
-    // while the VXU scores supertile st. The stage latencies keep
-    // their full (sequential) attribution; only overlapHidden — the
-    // portion of the stream the pipeline hides, provably bounded by
-    // both loadEmbedding and calcDistance (see overlapHiddenSeconds)
-    // — feeds back into total().
-    double overlap_hidden = 0.0;
-    if (opts.overlapStream)
-        overlap_hidden = overlapHiddenSeconds(dev, t, load_emb,
-                                              calc_s, supertiles);
-
-    double b = static_cast<double>(batch);
-    for (size_t q2 = 0; q2 < batch; ++q2) {
-        auto &r = results[q2];
-        r.stages.loadEmbedding = load_emb / b;
-        r.stages.loadQuery = load_query / b;
-        r.stages.calcDistance = calc_s / b;
-        r.stages.topkAggregation =
-            dev.cyclesToSeconds(topk_cycles) / b;
-        r.stages.returnTopk = return_total / b;
-        r.stages.overlapHidden = overlap_hidden / b;
-        r.computeSeconds = r.stages.calcDistance;
-        r.dramBytes = shared_dram / b;
-        r.cacheBytes = 2.0 * shared_dram / b;
-        if (fnl)
-            r.hits = mergeHits(std::move(candidates[q2]), topK);
-        publishTopkIds(r, q2);
-    }
-    if (fnl)
-        dev.allocator().free(adm_addr);
-    // One corpus pass serves the whole batch, so an uncorrectable
-    // ECC error taints every result in it.
-    Status ecc = hbm.takeFaultStatus();
-    if (!ecc.ok())
-        for (auto &r : results)
-            r.status = ecc;
-    return results;
-}
-
-std::vector<RagRunResult>
-RagRetriever::retrieveIvfBatch(
-    const std::vector<std::vector<int16_t>> &queries,
-    uint64_t corpus_seed, const RagBatchOptions &opts)
-{
-    const baseline::IvfClustering &cl = *opts.ivf;
-    size_t batch = queries.size();
-    ApuCore &core = dev.core(coreIdx_);
-    Gvml g(core);
-    const auto &t = dev.timing();
-    size_t l = dev.spec().vrLength;
-    size_t dim = corpus_.dim;
-    size_t K = cl.numLists();
-    size_t nprobe = std::min(opts.search.nprobe, K);
-    uint16_t filter = opts.search.filterMask;
-    bool filtered = filter != baseline::kFilterAll;
-    bool fnl = core.functional();
-
-    cisram_assert(cl.dim() == dim, "clustering dim mismatch");
-    cisram_assert(corpus_.epochView == nullptr,
-                  "IVF probing over an epoch-overlaid corpus is not "
-                  "supported");
-    cisram_assert(cl.numChunks() == corpus_.numChunks,
-                  "clustering built for a different corpus");
-
-    // CP-side probe selection mirror of the golden index. The
-    // device's coarse pass below runs the same selection on the VXU;
-    // in functional mode the two are asserted identical, which is
-    // what makes the device-vs-golden bit-compare meaningful.
-    std::vector<std::vector<uint32_t>> probes(batch);
-    for (size_t q2 = 0; q2 < batch; ++q2)
-        probes[q2] = cl.selectProbes(queries[q2].data(), nprobe);
-
-    // Union of probed lists in ascending list order; each list
-    // streams once per batch and only its probing queries extract.
-    std::vector<std::vector<size_t>> byList(K);
-    for (size_t q2 = 0; q2 < batch; ++q2)
-        for (uint32_t list : probes[q2])
-            byList[list].push_back(q2);
-    std::vector<uint32_t> lists;
-    for (uint32_t j = 0; j < K; ++j)
-        if (!byList[j].empty())
-            lists.push_back(j);
-
-    const auto &offsets = cl.listOffsets();
-    const auto &order = cl.order();
-    uint64_t probed_chunks = 0;
-    size_t total_supertiles = 0;
-    for (uint32_t list : lists) {
-        probed_chunks += cl.listSize(list);
-        total_supertiles += divCeil(cl.listSize(list), l);
-    }
-
-    std::vector<RagRunResult> results(batch);
-    // Stream budget: centroid table + the probed lists' embeddings,
-    // plus their predicate planes when a filter is armed. The
-    // exhaustive pass streams chunks*dim*2; the ratio is the scan
-    // reduction bench_ivf_recall reports.
-    double shared_dram =
-        (static_cast<double>(K) * dim +
-         static_cast<double>(probed_chunks) *
-             (static_cast<double>(dim) + (filtered ? 1.0 : 0.0))) *
-        2.0;
-    double load_emb = hbm.streamReadSeconds(
-        0, static_cast<uint64_t>(shared_dram));
-
-    // Functional staging: the centroid planes (+ a lane-validity
-    // plane for the coarse pass) once per retriever, a list's planes
-    // when a batch first probes it (segment `list` of order(),
-    // ascending within the list, which keeps per-supertile tie
-    // extraction exact), and the probed lists' admit planes.
-    std::vector<uint64_t> list_addr(K);
-    uint64_t adm_addr = 0;
-    if (fnl) {
-        if (!ivf_) {
-            ivf_ = &cl;
-            lists_.perm = order.data();
-            lists_.ext = offsets;
-            centAddr_ = dev.allocator().alloc((dim + 1) * l * 2, 512);
-            stageRows(dev, cl.centroids().data(), K, dim, centAddr_);
-            stageAdmit(dev, K, [](size_t) { return true; },
-                       centAddr_ + dim * l * 2);
-        }
-        cisram_assert(ivf_ == &cl, "a retriever probes one clustering");
-        for (uint32_t list : lists)
-            list_addr[list] = residentSegment(lists_, list, corpus_seed);
-        adm_addr = admitPlanes(lists_, lists, filter, corpus_seed);
-    }
-
-    core.stats().reset();
-    StageTimer timer(core);
-
-    core.dmaL4ToL3(0, 0, batch * dim * 2);
-    double load_query = dev.cyclesToSeconds(timer.lap());
-
-    g.cpyImm16(vrBias, 0x8000);
-
-    std::vector<std::vector<Hit>> candidates(batch);
-    std::vector<size_t> all(batch);
-    for (size_t q2 = 0; q2 < batch; ++q2)
-        all[q2] = q2;
-    double topk_cycles = 0.0;
-
-    // ---- coarse centroid pass --------------------------------------
-    // The centroid table (K x dim int16, ~46 KiB at K = 64) stages
-    // through L3/L4 and streams as dim K-wide planes: one mini
-    // supertile scoring lists instead of chunks, reusing the exact
-    // MAC/bias/extract machinery of the main loop.
-    scoreSupertile(g, queries, all, centAddr_, centAddr_ + dim * l * 2,
-                   K);
-    {
-        double before = core.stats().cycles();
-        for (size_t q2 = 0; q2 < batch; ++q2) {
-            g.xor16(accVr(q2), accVr(q2), vrBias);
-            g.cpyImm16Nmsk(accVr(q2), 0x0000, vrAdmit);
+        for (size_t q = 0; q < batch; ++q) {
+            g.xor16(accVr(q), accVr(q), vrBias);
+            g.cpyImm16Nmsk(accVr(q), 0x0000, vrAdmit);
             std::vector<uint32_t> dev_probes;
-            for (size_t p = 0; p < nprobe; ++p) {
-                auto mx = g.maxIndexU16(accVr(q2));
-                core.rspSet(accVr(q2).idx, fnl ? mx.index : 0, 0);
+            for (size_t p = 0; p < plan.nprobe; ++p) {
+                auto mx = g.maxIndexU16(accVr(q));
+                core.rspSet(accVr(q).idx, fnl ? mx.index : 0, 0);
                 if (fnl && mx.index < K && mx.value != 0)
                     dev_probes.push_back(
                         static_cast<uint32_t>(mx.index));
             }
             if (fnl)
-                cisram_assert(
-                    dev_probes == probes[q2],
-                    "device coarse pass diverged from golden "
-                    "probe selection");
+                cisram_assert(dev_probes == plan.probes[q],
+                              "device coarse pass diverged from golden "
+                              "probe selection");
         }
         core.chargeRaw(mergeCyclesPerVr);
-        topk_cycles += core.stats().cycles() - before;
+        lg.topkCycles += core.stats().cycles() - before;
     }
 
-    // ---- probe-restricted streaming --------------------------------
-    size_t gst = 0;
-    for (uint32_t list : lists) {
-        const auto &qset = byList[list];
-        size_t lsz = cl.listSize(list);
-        for (size_t st = 0; st < divCeil(lsz, l); ++st, ++gst) {
-            size_t valid = fnl ? std::min(l, lsz - st * l) : l;
-            scoreSupertile(g, queries, qset,
-                           list_addr[list] + st * dim * l * 2,
+    // The runs. The admit plane (validity, epoch liveness, metadata
+    // predicate) ANDs into the match mask: one negated-mask select
+    // per score VR writes the masked-out sentinel (biased 0x0000, a
+    // dot of -32768 no int16 embedding can produce) into excluded
+    // lanes, which extractTopK already skips. Hit ids map back
+    // through the segment's permutation.
+    size_t gst = 0; // supertile index into the admit block
+    for (const Plan::Run &run : plan.runs) {
+        const ResidentPlanes &rp = *run.rp;
+        for (size_t st = 0; st < run.supertiles; ++st, ++gst) {
+            ScopedRepeat strep(core.stats(), run.repeat);
+            uint64_t p0 = rp.ext[run.seg] + st * l;
+            size_t valid =
+                fnl ? std::min<uint64_t>(l, rp.ext[run.seg + 1] - p0) : l;
+            scoreSupertile(g, queries, run.qs,
+                           run.base + st * dim * l * 2,
                            adm_addr + gst * l * 2, valid);
-
             double before = core.stats().cycles();
-            for (size_t q2 : qset) {
-                g.xor16(accVr(q2), accVr(q2), vrBias);
-                g.cpyImm16Nmsk(accVr(q2), 0x0000, vrAdmit);
-                auto part =
-                    extractTopK(g, core, accVr(q2), topK, valid);
+            for (size_t q : run.qs) {
+                g.xor16(accVr(q), accVr(q), vrBias);
+                g.cpyImm16Nmsk(accVr(q), 0x0000, vrAdmit);
+                auto part = extractTopK(g, core, accVr(q), topK, valid);
                 for (auto &h : part)
-                    h.id = order[offsets[list] + st * l + h.id];
-                candidates[q2].insert(candidates[q2].end(),
-                                      part.begin(), part.end());
+                    h.id = rp.local(p0 + h.id);
+                lg.cands[q].insert(lg.cands[q].end(), part.begin(),
+                                   part.end());
             }
-            topk_cycles += core.stats().cycles() - before;
+            lg.topkCycles += core.stats().cycles() - before;
         }
     }
-    double calc_total = timer.lap();
-    core.chargeRaw(returnTopkCycles * static_cast<double>(batch));
-    double return_total = dev.cyclesToSeconds(timer.lap());
-    double calc_s = dev.cyclesToSeconds(calc_total - topk_cycles);
-
-    double overlap_hidden = 0.0;
-    if (opts.overlapStream)
-        overlap_hidden = overlapHiddenSeconds(
-            dev, t, load_emb, calc_s, total_supertiles);
-
-    double b = static_cast<double>(batch);
-    for (size_t q2 = 0; q2 < batch; ++q2) {
-        auto &r = results[q2];
-        r.stages.loadEmbedding = load_emb / b;
-        r.stages.loadQuery = load_query / b;
-        r.stages.calcDistance = calc_s / b;
-        r.stages.topkAggregation =
-            dev.cyclesToSeconds(topk_cycles) / b;
-        r.stages.returnTopk = return_total / b;
-        r.stages.overlapHidden = overlap_hidden / b;
-        r.computeSeconds = r.stages.calcDistance;
-        r.dramBytes = shared_dram / b;
-        r.cacheBytes = 2.0 * shared_dram / b;
-        if (fnl)
-            r.hits = mergeHits(std::move(candidates[q2]), topK);
-        publishTopkIds(r, q2);
-    }
+    auto results = finish(lg);
     if (fnl)
         dev.allocator().free(adm_addr);
-    Status ecc = hbm.takeFaultStatus();
-    if (!ecc.ok())
-        for (auto &r : results)
-            r.status = ecc;
     return results;
 }
 
@@ -877,14 +811,13 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
     size_t rem = chunks % cpt;
     size_t score_vrs = divCeil(chunks, l);
 
-    RagRunResult res;
-    res.dramBytes =
+    Ledger lg(core, 1);
+    lg.dramBytes =
         static_cast<double>(chunks) * static_cast<double>(pad) * 2.0;
-    res.cacheBytes = 2.0 * res.dramBytes;
 
     // Off-chip embedding stream, timed by the HBM simulator.
-    res.stages.loadEmbedding = hbm.streamReadSeconds(
-        0, static_cast<uint64_t>(res.dramBytes));
+    lg.loadEmb = hbm.streamReadSeconds(
+        0, static_cast<uint64_t>(lg.dramBytes));
 
     // Functional staging: padded chunk-major embeddings + query.
     uint64_t emb_addr = 0, q_addr = 0;
@@ -914,7 +847,6 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
     }
 
     core.stats().reset();
-    StageTimer timer(core);
 
     // ---- load query ------------------------------------------------
     core.dmaL4ToL2(q_addr, 0, pad * 2);
@@ -922,7 +854,7 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
     g.load16(vrQ, vmStage);
     g.cpySubgrp16Grp(vrQ, vrQ, l, pad, 0);
     (void)bf_query; // no standalone effect on the spatial base
-    res.stages.loadQuery = dev.cyclesToSeconds(timer.lap());
+    lg.loadQuery = dev.cyclesToSeconds(lg.lap());
     // Bias setup charges to calc-distance (see retrieveBatch).
     g.cpyImm16(vrBias, 0x8000);
 
@@ -932,8 +864,6 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
     // (the fine-grained element access the paper attributes to the
     // unoptimized mapping). When the score VR fills, its top-k is
     // extracted in place (charged to the aggregation stage).
-    std::vector<Hit> candidates;
-    double topk_cycles = 0.0;
     const Vr vrScore{6};
     size_t score_fill = 0; // elements in the current score VR
     size_t score_base = 0; // first chunk of the current score VR
@@ -945,12 +875,11 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
         auto part = extractTopK(g, core, vrScore, topK, score_fill);
         for (auto &h : part)
             h.id += score_base;
-        candidates.insert(candidates.end(), part.begin(),
-                          part.end());
+        lg.cands[0].insert(lg.cands[0].end(), part.begin(), part.end());
         // Clear the drained VR so stale scores never leak into the
         // next fill's partial extraction.
         g.cpyImm16(vrScore, 0);
-        topk_cycles += core.stats().cycles() - before;
+        lg.topkCycles += core.stats().cycles() - before;
         score_base += score_fill;
         score_fill = 0;
     };
@@ -1001,26 +930,14 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
                                   static_cast<double>(score_vrs));
             extractTopK(g, core, vrScore, topK, l);
         }
-        topk_cycles += core.stats().cycles() - before;
+        lg.topkCycles += core.stats().cycles() - before;
     }
 
-    double calc_total = timer.lap();
-    res.stages.calcDistance =
-        dev.cyclesToSeconds(calc_total - topk_cycles);
-    res.stages.topkAggregation = dev.cyclesToSeconds(topk_cycles);
-    res.computeSeconds = res.stages.calcDistance;
-
-    // ---- return -------------------------------------------------------
-    core.chargeRaw(returnTopkCycles);
-    res.stages.returnTopk = dev.cyclesToSeconds(timer.lap());
-
+    RagRunResult res = std::move(finish(lg)[0]);
     if (fnl) {
-        res.hits = mergeHits(std::move(candidates), topK);
         dev.allocator().free(emb_addr);
         dev.allocator().free(q_addr);
     }
-    publishTopkIds(res, 0);
-    res.status = hbm.takeFaultStatus();
     return res;
 }
 
@@ -1037,12 +954,11 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
     size_t chunks = corpus_.numChunks;
     size_t supertiles = divCeil(chunks, l);
 
-    RagRunResult res;
-    res.dramBytes = static_cast<double>(chunks) *
+    Ledger lg(core, 1);
+    lg.dramBytes = static_cast<double>(chunks) *
         static_cast<double>(dim) * 2.0;
-    res.cacheBytes = 2.0 * res.dramBytes;
-    res.stages.loadEmbedding = hbm.streamReadSeconds(
-        0, static_cast<uint64_t>(res.dramBytes));
+    lg.loadEmb = hbm.streamReadSeconds(
+        0, static_cast<uint64_t>(lg.dramBytes));
 
     // Functional staging: the resident dimension-major planes.
     uint64_t emb_addr = 0, q_addr = 0;
@@ -1057,7 +973,6 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
     }
 
     core.stats().reset();
-    StageTimer timer(core);
 
     // ---- load query -------------------------------------------------
     core.dmaL4ToL2(q_addr, 0, dim * 2);
@@ -1068,13 +983,11 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
         // CP's L3 so scalars broadcast as immediates.
         core.dmaL4ToL3(q_addr, 0, dim * 2);
     }
-    res.stages.loadQuery = dev.cyclesToSeconds(timer.lap());
+    lg.loadQuery = dev.cyclesToSeconds(lg.lap());
     // Bias setup charges to calc-distance (see retrieveBatch).
     g.cpyImm16(vrBias, 0x8000);
 
     // ---- distance calculation ----------------------------------------
-    std::vector<Hit> candidates;
-    double topk_cycles = 0.0;
     for (size_t st = 0; st < (fnl ? supertiles : size_t(1)); ++st) {
         double st_factor =
             fnl ? 1.0 : static_cast<double>(supertiles);
@@ -1106,26 +1019,13 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
         auto part = extractTopK(g, core, vrAcc, topK, valid);
         for (auto &h : part)
             h.id += st * l;
-        candidates.insert(candidates.end(), part.begin(),
-                          part.end());
-        topk_cycles += core.stats().cycles() - before;
+        lg.cands[0].insert(lg.cands[0].end(), part.begin(), part.end());
+        lg.topkCycles += core.stats().cycles() - before;
     }
-    double calc_total = timer.lap();
-    res.stages.calcDistance =
-        dev.cyclesToSeconds(calc_total - topk_cycles);
-    res.stages.topkAggregation = dev.cyclesToSeconds(topk_cycles);
-    res.computeSeconds = res.stages.calcDistance;
 
-    // ---- return -------------------------------------------------------
-    core.chargeRaw(returnTopkCycles);
-    res.stages.returnTopk = dev.cyclesToSeconds(timer.lap());
-
-    if (fnl) {
-        res.hits = mergeHits(std::move(candidates), topK);
+    RagRunResult res = std::move(finish(lg)[0]);
+    if (fnl)
         dev.allocator().free(q_addr);
-    }
-    publishTopkIds(res, 0);
-    res.status = hbm.takeFaultStatus();
     return res;
 }
 

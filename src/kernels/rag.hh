@@ -250,18 +250,18 @@ class RagRetriever
                                   uint64_t corpus_seed);
 
     /**
-     * Probe-restricted batch: coarse centroid pass on-device, then
-     * stream only the probed inverted lists (each list as its own
-     * ragged supertile run). Called by retrieveBatch when opts
-     * carry a clustering and nprobe > 0.
+     * retrieveBatch's supertile plan (runs of resident segments
+     * behind an optional coarse pass; planIvf builds the IVF one),
+     * and the stage ledger whose finish() ends every retrieval path:
+     * the calc/top-k split, the return charge, the per-query 1/b
+     * fan-out, the hit merge, the staged top-k ids, the ECC taint.
      */
-    std::vector<RagRunResult>
-    retrieveIvfBatch(const std::vector<std::vector<int16_t>> &queries,
-                     uint64_t corpus_seed,
-                     const RagBatchOptions &opts);
-
-    /** Stage res.hits' ids into the device id buffer (slot 0..7). */
-    void publishTopkIds(RagRunResult &res, size_t slot);
+    struct Plan;
+    struct Ledger;
+    void planIvf(Plan &plan,
+                 const std::vector<std::vector<int16_t>> &queries,
+                 const RagBatchOptions &opts);
+    std::vector<RagRunResult> finish(Ledger &lg);
 
     /**
      * Dimension-major planes resident in L4 (functional mode) for a
@@ -293,15 +293,14 @@ class RagRetriever
                              uint64_t corpus_seed);
 
     /**
-     * Stage this batch's admit planes for segments `segs` of `rp`
-     * (laid out by residentSegment), one per supertile in order,
-     * into a block the caller frees: lane validity AND epoch
-     * liveness (tombstoned chunks keep their staged position but
-     * never match) AND the metadata predicate `filter`.
+     * Stage the admit planes of `plan`'s runs (laid out by
+     * residentSegment), one per supertile in order, into a block the
+     * caller frees: lane validity AND epoch liveness (tombstoned
+     * chunks keep their staged position but never match) AND the
+     * metadata predicate `filter`.
      */
-    uint64_t admitPlanes(const ResidentPlanes &rp,
-                         const std::vector<uint32_t> &segs,
-                         uint16_t filter, uint64_t corpus_seed);
+    uint64_t admitPlanes(const Plan &plan, uint16_t filter,
+                         uint64_t corpus_seed);
 
     apu::ApuDevice &dev;
     dram::DramSystem &hbm;
@@ -311,7 +310,7 @@ class RagRetriever
     uint64_t idsAddr_; ///< 8 batch slots of topK u32 ids each
     ResidentPlanes shard_; ///< the exhaustive scan: one segment
     ResidentPlanes lists_; ///< IVF: one segment per inverted list
-    /** The clustering lists_ follows (its order() is lists_.perm);
+    /** The clustering whose centroid table is staged at centAddr_;
      * set by the first functional IVF batch. */
     const baseline::IvfClustering *ivf_ = nullptr;
     uint64_t centAddr_ = 0; ///< centroid planes + validity plane
