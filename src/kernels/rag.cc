@@ -655,12 +655,10 @@ RagRetriever::retrieveBatch(
     uint16_t filter = opts.search.filterMask;
     bool filtered = filter != baseline::kFilterAll;
     bool mutated = corpus_.epochView != nullptr;
-    if (mutated) {
-        cisram_assert(corpus_.numChunks ==
-                          corpus_.epochView->baseChunks +
-                              corpus_.epochView->inserted.size(),
+    if (mutated)
+        cisram_assert(corpus_.numChunks == corpus_.epochView->baseChunks +
+                          corpus_.epochView->inserted.size(),
                       "epoch view / spec chunk count mismatch");
-    }
 
     // The plan: the IVF planner's probed lists, or one run over the
     // whole shard (TimingOnly charges one supertile for all of them).
